@@ -239,5 +239,6 @@ fn main() {
             },
             "smoke": smoke,
         }),
+        smoke,
     );
 }

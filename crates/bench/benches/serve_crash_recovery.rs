@@ -5,9 +5,8 @@
 //! 1. **Crash/recovery sweep**: the engine is killed at seeded virtual
 //!    times (¼, ½, ¾ of the stream) with the write-ahead log as the only
 //!    surviving state, then resumed — for 1 and 4 workers, with worker
-//!    faults, checkpoint folding and epoch compaction all enabled. The
-//!    resumed prediction log must be byte-identical to an uninterrupted
-//!    run's.
+//!    faults and checkpoint folding enabled. The resumed prediction log
+//!    must be byte-identical to an uninterrupted run's.
 //! 2. **Fault-rate sweep**: worker fault pressure (panics + stalls +
 //!    transient errors) from 0‰ to 200‰ per attempt. At every rate, every
 //!    stream event must complete (predicted or quarantined dead-letter —
@@ -121,7 +120,6 @@ fn main() {
         index_mode: IndexMode::Online,
         admission: AdmissionConfig::unbounded(),
         checkpoint_every: 3,
-        compact_epochs: 2,
         ..EngineConfig::default()
     };
 
@@ -306,7 +304,6 @@ fn main() {
             "engine": {
                 "index_mode": "online",
                 "checkpoint_every": base.checkpoint_every,
-                "compact_epochs": base.compact_epochs,
                 "quarantine_kills": base.quarantine_kills,
                 "max_attempts": base.max_attempts,
             },
@@ -314,5 +311,6 @@ fn main() {
             "fault_sweep": fault_rows,
             "smoke": smoke,
         }),
+        smoke,
     );
 }

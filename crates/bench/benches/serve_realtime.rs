@@ -187,5 +187,6 @@ fn main() {
             "des_parity": "log byte-identical to virtual run for every worker count",
             "smoke": smoke,
         }),
+        smoke,
     );
 }

@@ -257,5 +257,6 @@ fn main() {
             "sweep": sweep_rows,
             "smoke": smoke,
         }),
+        smoke,
     );
 }

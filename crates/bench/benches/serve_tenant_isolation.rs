@@ -334,5 +334,6 @@ fn main() {
             "tenants": serde_json::Value::Seq(rows),
             "smoke": smoke,
         }),
+        smoke,
     );
 }

@@ -297,5 +297,6 @@ fn main() {
             "wall": wall_rows,
             "smoke": smoke,
         }),
+        smoke,
     );
 }

@@ -196,5 +196,6 @@ fn main() {
             "storm": storm.report,
             "smoke": smoke,
         }),
+        smoke,
     );
 }

@@ -659,6 +659,7 @@ fn main() {
                 "resumes": total_resumes,
             },
         }),
+        smoke,
     );
 }
 

@@ -60,13 +60,19 @@ pub fn write_results(name: &str, value: &serde_json::Value) {
     println!("\n[results written to {}]", path.display());
 }
 
-/// Writes a JSON value to `<name>.json` at the repository root.
+/// Writes a JSON value to `<name>.json` at the repository root, or —
+/// for a smoke run — to `target/bench-results/<name>.json`.
 ///
 /// Unlike [`write_results`], root results are version-tracked: the
 /// serving benchmark commits its sweep as `BENCH_serve.json` so the
 /// numbers travel with the code instead of living in the ignored
-/// `target/` tree.
-pub fn write_root_results(name: &str, value: &serde_json::Value) {
+/// `target/` tree. A smoke run's reduced sizes are not results, so it
+/// never overwrites a tracked file.
+pub fn write_root_results(name: &str, value: &serde_json::Value, smoke: bool) {
+    if smoke {
+        write_results(name, value);
+        return;
+    }
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(format!("../../{name}.json"));
     std::fs::write(
         &path,

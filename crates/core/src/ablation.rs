@@ -111,11 +111,7 @@ pub fn fig12_sweep(
     let mut out = Vec::with_capacity(ks.len() * alphas.len());
     for &alpha in alphas {
         for &k in ks {
-            let plan = InferencePlan::new(spec).with_retrieval(RetrievalConfig {
-                k,
-                alpha,
-                ..RetrievalConfig::default()
-            });
+            let plan = InferencePlan::new(spec).with_retrieval(RetrievalConfig { k, alpha });
             let executor = PlanExecutor::new(&copilot, &stage, &plan, &caches);
             let preds = parallel_map(&prepared.test, |&i| {
                 let inc = &prepared.incidents[i];

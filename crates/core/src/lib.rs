@@ -52,10 +52,9 @@ pub use memo::{
 pub use metrics::{f1_scores, F1Report};
 pub use pipeline::{RcaCopilot, RcaCopilotConfig, RcaPrediction};
 pub use plan::{InferencePlan, PlanCaches, PlanExecutor, PlanOutcome, SummarizeMode};
-pub use rcacopilot_embed::IndexStats;
 pub use report::OnCallReport;
 pub use retrieval::{
-    shard_for_category, CheckpointEntry, EpochCheckpoint, HistoricalEntry, HistoricalIndex,
-    HistorySnapshot, HistoryView, OnlineHistoricalIndex, RetrievalBackend, RetrievalConfig,
-    ShardedCheckpoint, ShardedHistoricalIndex, ShardedHistorySnapshot,
+    linear_top_k_diverse, shard_for_category, CheckpointEntry, HistoricalEntry, HistoricalIndex,
+    HistorySnapshot, HistoryView, RetrievalBackend, RetrievalConfig, ShardedCheckpoint,
+    ShardedHistoricalIndex,
 };

@@ -480,11 +480,7 @@ mod tests {
             "IdenticalSignatureException replicated noise",
             "IdenticalSignatureException replicated.",
             SimTime::from_days(100),
-            &RetrievalConfig {
-                k: 1,
-                alpha: 0.3,
-                ..RetrievalConfig::default()
-            },
+            &RetrievalConfig { k: 1, alpha: 0.3 },
         );
         assert_eq!(
             pred_decayed.demo_categories,

@@ -627,11 +627,7 @@ mod tests {
         let (copilot, prepared, _ds) = trained();
         let caches = PlanCaches::new(1);
         let stage = CollectionStage::standard();
-        let narrow = InferencePlan::default().with_retrieval(RetrievalConfig {
-            k: 1,
-            alpha: 0.3,
-            ..RetrievalConfig::default()
-        });
+        let narrow = InferencePlan::default().with_retrieval(RetrievalConfig { k: 1, alpha: 0.3 });
         let executor = PlanExecutor::new(&copilot, &stage, &narrow, &caches);
         let i = prepared.test[0];
         let pred = executor.run_prepared(&prepared.incidents[i], copilot.index());

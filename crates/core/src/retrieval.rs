@@ -10,65 +10,32 @@
 //! with the top-K neighbors drawn from *distinct* categories so the
 //! demonstrations stay diverse. `α` is measured per day; the paper's best
 //! values are `K = 5`, `α = 0.3`.
+//!
+//! Every index answers with one exact algorithm, the *time-outward
+//! scan*. Since `1/(1 + d) ≤ 1`, an entry's decay factor `e^(−α·|Δt|)`
+//! bounds its similarity. Entries are therefore visited in increasing
+//! `|Δt|` from the query time, and the scan stops once that bound falls
+//! strictly below the `k`-th best distinct-category similarity found so
+//! far: nothing left can enter the answer or win a tie. The answer —
+//! entries, order and similarities — equals [`linear_top_k_diverse`]
+//! applied to every visible entry (property-tested below).
 
-use rcacopilot_embed::{BucketedIndex, EpochIndex, HnswConfig, HnswIndex, IndexStats, IvfIndex};
-use rcacopilot_telemetry::time::{SimDuration, SimTime};
+use rcacopilot_telemetry::time::SimTime;
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cmp::Ordering;
+use std::collections::btree_map::{BTreeMap, Entry};
+use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-/// Which index answers the candidate-generation half of retrieval.
-///
-/// Scoring is *always* exact: the paper's temporal-decay similarity is
-/// computed per candidate in `f64` and ranked with the same tie-breaks
-/// regardless of backend. The backend only decides which entries become
-/// candidates — [`Exact`](RetrievalBackend::Exact) considers everything,
-/// the ANN tiers consider what their structure surfaces. At saturation
-/// (`ef_search`/`nprobe` at or past the structure size) the ANN
-/// candidate set provably covers every entry, and answers are
-/// byte-identical to `Exact` (property-tested).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+/// How retrieval finds its candidates. There is one exact path — the
+/// time-outward scan — so `Exact` is the only backend;
+/// [`ShardedHistoricalIndex::warm_with`] accepts it for callers that
+/// name the backend explicitly.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum RetrievalBackend {
-    /// Bound-pruned exact scan over the bucketed cells (the default).
+    /// The exact time-outward scan.
     #[default]
     Exact,
-    /// Inverted-file candidates: probe the `nprobe` nearest of `ncells`
-    /// k-means cells, exact re-rank of their contents.
-    Ivf {
-        /// Quantizer cells built from the first insert batch.
-        ncells: usize,
-        /// Cells probed per query (`>= ncells` saturates to full recall).
-        nprobe: usize,
-    },
-    /// Seeded deterministic HNSW graph candidates, exact re-rank.
-    Hnsw {
-        /// Max neighbors per node above layer 0 (layer 0 allows `2m`).
-        m: usize,
-        /// Insertion beam width.
-        ef_construction: usize,
-        /// Query beam width (`>= len` saturates to full recall).
-        ef_search: usize,
-    },
-}
-
-impl RetrievalBackend {
-    /// An HNSW backend with the embed crate's default graph parameters.
-    pub fn hnsw() -> Self {
-        let d = HnswConfig::default();
-        RetrievalBackend::Hnsw {
-            m: d.m,
-            ef_construction: d.ef_construction,
-            ef_search: d.ef_search,
-        }
-    }
-
-    /// An IVF backend with moderate defaults.
-    pub fn ivf() -> Self {
-        RetrievalBackend::Ivf {
-            ncells: 64,
-            nprobe: 8,
-        }
-    }
 }
 
 /// Retrieval hyperparameters.
@@ -78,20 +45,11 @@ pub struct RetrievalConfig {
     pub k: usize,
     /// Temporal decay rate per day.
     pub alpha: f64,
-    /// Candidate-generation backend (see [`RetrievalBackend`]). Only
-    /// online snapshots honor it — the frozen batch index is a plain
-    /// exact scan — and a snapshot whose index was built without the
-    /// requested ANN structure falls back to the exact scan.
-    pub backend: RetrievalBackend,
 }
 
 impl Default for RetrievalConfig {
     fn default() -> Self {
-        RetrievalConfig {
-            k: 5,
-            alpha: 0.3,
-            backend: RetrievalBackend::Exact,
-        }
+        RetrievalConfig { k: 5, alpha: 0.3 }
     }
 }
 
@@ -119,15 +77,16 @@ pub struct Neighbor<'a> {
     pub similarity: f64,
 }
 
-/// The index of historical incidents.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct HistoricalIndex {
-    entries: Vec<HistoricalEntry>,
-}
-
 /// The paper's similarity formula.
 pub fn similarity(distance: f64, delta_days: f64, alpha: f64) -> f64 {
-    (1.0 / (1.0 + distance)) * (-alpha * delta_days.abs()).exp()
+    (1.0 / (1.0 + distance)) * decay(delta_days, alpha)
+}
+
+/// The temporal-decay factor `e^(−α·|Δt|)`: the similarity of a
+/// zero-distance match, hence an upper bound on any similarity at that
+/// time gap.
+fn decay(delta_days: f64, alpha: f64) -> f64 {
+    (-alpha * delta_days.abs()).exp()
 }
 
 /// 64-bit FNV-1a hash of a byte string — the stable hash behind shard
@@ -167,85 +126,189 @@ fn euclidean(a: &[f32], b: &[f32]) -> f64 {
         .sqrt()
 }
 
-impl HistoricalIndex {
-    /// Creates an empty index.
-    pub fn new() -> Self {
-        HistoricalIndex::default()
+/// The retrieval contract stated directly: score every entry, stable-sort
+/// by similarity (ties keep slice order), and keep the first entry of
+/// each new category until `k` are chosen (paper §4.2.2: "we select the
+/// top K incidents from different categories as demonstrations").
+///
+/// `O(n log n)` per query. The indexes answer with the time-outward scan
+/// instead; this is the reference it is checked against.
+pub fn linear_top_k_diverse<'a>(
+    entries: &'a [HistoricalEntry],
+    query_embedding: &[f32],
+    query_time: SimTime,
+    config: &RetrievalConfig,
+) -> Vec<Neighbor<'a>> {
+    let mut scored: Vec<Neighbor<'a>> = entries
+        .iter()
+        .map(|entry| Neighbor {
+            entry,
+            similarity: similarity(
+                euclidean(query_embedding, &entry.embedding),
+                entry.at.abs_diff(query_time).as_days_f64(),
+                config.alpha,
+            ),
+        })
+        .collect();
+    // total_cmp instead of partial_cmp: a NaN similarity (possible from a
+    // degenerate embedding) must not panic the pipeline.
+    scored.sort_by(|a, b| b.similarity.total_cmp(&a.similarity));
+    let mut seen = std::collections::BTreeSet::new();
+    scored
+        .into_iter()
+        .filter(|n| seen.insert(n.entry.category.as_str()))
+        .take(config.k)
+        .collect()
+}
+
+/// One scan candidate: the entry, the instant it became retrievable, and
+/// its global insertion sequence (the tie-break).
+type Candidate<'a> = (&'a HistoricalEntry, SimTime, u64);
+
+/// A category representative: `(similarity, global sequence, entry)`.
+type Rep<'a> = (f64, u64, &'a HistoricalEntry);
+
+/// The ranking order: higher similarity first, earlier insertion on ties.
+fn rank_order(a: &Rep<'_>, b: &Rep<'_>) -> Ordering {
+    b.0.total_cmp(&a.0).then(a.1.cmp(&b.1))
+}
+
+/// Sorts representatives into ranking order and keeps the best `k`.
+fn rank(mut reps: Vec<Rep<'_>>, k: usize) -> Vec<Rep<'_>> {
+    reps.sort_by(rank_order);
+    reps.truncate(k);
+    reps
+}
+
+/// The `k` best category similarities seen by a scan: the `k`-th of them
+/// is the similarity an entry must reach to matter.
+struct TopK<'a> {
+    k: usize,
+    /// `(similarity, category)`, best first.
+    best: Vec<(f64, &'a str)>,
+}
+
+impl<'a> TopK<'a> {
+    /// Records that `category`'s best similarity rose to `sim`.
+    fn raise(&mut self, category: &'a str, sim: f64) {
+        match self.best.iter_mut().find(|(_, c)| *c == category) {
+            Some(slot) => slot.0 = sim,
+            None => self.best.push((sim, category)),
+        }
+        self.best.sort_by(|a, b| b.0.total_cmp(&a.0));
+        self.best.truncate(self.k);
     }
 
-    /// Adds a historical incident.
-    pub fn add(&mut self, entry: HistoricalEntry) {
-        self.entries.push(entry);
-    }
-
-    /// Number of indexed incidents.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when the index is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// All entries.
-    pub fn entries(&self) -> &[HistoricalEntry] {
-        &self.entries
-    }
-
-    /// Retrieves the top-`k` most similar incidents **from distinct
-    /// categories** (paper §4.2.2: "we select the top K incidents from
-    /// different categories as demonstrations").
-    pub fn top_k_diverse(
-        &self,
-        query_embedding: &[f32],
-        query_time: SimTime,
-        config: &RetrievalConfig,
-    ) -> Vec<Neighbor<'_>> {
-        let scored = self.entries.iter().enumerate().map(|(i, e)| {
-            let dist = euclidean(query_embedding, &e.embedding);
-            let dt = e.at.abs_diff(query_time).as_days_f64();
-            (i, e, similarity(dist, dt, config.alpha))
-        });
-        diverse_select(scored.collect(), config.k)
+    /// The `k`-th best similarity, or `-∞` while fewer categories exist.
+    fn kth(&self) -> f64 {
+        self.best
+            .get(self.k - 1)
+            .map_or(f64::NEG_INFINITY, |&(sim, _)| sim)
     }
 }
 
-/// The greedy distinct-category selection both index implementations
-/// share: stable-sort all `(position, entry, similarity)` candidates by
-/// similarity (descending) and keep the first entry of each new category
-/// until `k` categories are chosen.
-fn diverse_select(mut scored: Vec<(usize, &HistoricalEntry, f64)>, k: usize) -> Vec<Neighbor<'_>> {
-    // total_cmp instead of partial_cmp: a NaN similarity (possible
-    // from a degenerate zero embedding) must not panic the pipeline;
-    // it gets a deterministic position instead.
-    scored.sort_by(|a, b| b.2.total_cmp(&a.2));
-    let mut seen_categories = std::collections::BTreeSet::new();
-    let mut out = Vec::with_capacity(k);
-    for (_, entry, sim) in scored {
-        if seen_categories.insert(entry.category.as_str()) {
-            out.push(Neighbor {
-                entry,
-                similarity: sim,
-            });
-            if out.len() == k {
-                break;
+/// The time-outward scan over one time-ordered entry sequence split at
+/// the query time: `before` yields entries at or before `query_time`,
+/// newest first, and `after` yields later ones, oldest first.
+///
+/// Returns the per-category best entries in ranking order, cut to
+/// `config.k`. `floor` is a similarity that `k` distinct categories
+/// elsewhere already reach (the cross-shard merge passes its running
+/// `k`-th), or `-∞`. Entries strictly below the larger of `floor` and the
+/// scan's own `k`-th best are skipped, so a category whose best stays
+/// below that threshold may come back with a lesser representative; it
+/// ranks below the answer either way. Every category that can rank in the
+/// top `k` is exact.
+fn scan_outward<'a>(
+    before: impl Iterator<Item = Candidate<'a>>,
+    after: impl Iterator<Item = Candidate<'a>>,
+    query_embedding: &[f32],
+    query_time: SimTime,
+    config: &RetrievalConfig,
+    floor: f64,
+) -> Vec<Rep<'a>> {
+    debug_assert!(
+        query_embedding.iter().all(|x| x.is_finite()),
+        "query embedding must be finite"
+    );
+    if config.k == 0 {
+        return Vec::new();
+    }
+    // A negative α makes the bound grow with the gap: scan everything.
+    let stops = config.alpha >= 0.0;
+    let (mut before, mut after) = (before.peekable(), after.peekable());
+    let mut reps: BTreeMap<&str, Rep<'a>> = BTreeMap::new();
+    let mut top = TopK {
+        k: config.k,
+        best: Vec::with_capacity(config.k + 1),
+    };
+    let mut threshold = floor;
+    let gap = |c: &Candidate<'_>| c.0.at.abs_diff(query_time);
+    loop {
+        // Merge the two sides by time gap, so gaps never decrease.
+        let take_after = match (before.peek(), after.peek()) {
+            (Some(b), Some(a)) => gap(a) < gap(b),
+            (None, Some(_)) => true,
+            _ => false,
+        };
+        let next = if take_after {
+            after.next()
+        } else {
+            before.next()
+        };
+        let Some((entry, visible_from, seq)) = next else {
+            break;
+        };
+        let bound = decay(entry.at.abs_diff(query_time).as_days_f64(), config.alpha);
+        // Every unvisited entry is at least this far from the query time,
+        // so `bound` caps all of them. Strictly below the threshold, none
+        // can enter the answer; a tie could still win on insertion order.
+        if stops && bound.total_cmp(&threshold) == Ordering::Less {
+            break;
+        }
+        if visible_from > query_time {
+            continue;
+        }
+        // Equals `similarity(dist, Δdays, α)`, reusing the decay factor.
+        let sim = (1.0 / (1.0 + euclidean(query_embedding, &entry.embedding))) * bound;
+        if sim.total_cmp(&threshold) == Ordering::Less {
+            continue;
+        }
+        let rep = (sim, seq, entry);
+        match reps.entry(entry.category.as_str()) {
+            Entry::Vacant(slot) => {
+                slot.insert(rep);
+            }
+            Entry::Occupied(mut slot) => {
+                if rank_order(&rep, slot.get()) != Ordering::Less {
+                    continue;
+                }
+                slot.insert(rep);
             }
         }
+        top.raise(entry.category.as_str(), sim);
+        if top.kth().total_cmp(&threshold) == Ordering::Greater {
+            threshold = top.kth();
+        }
     }
-    out
+    rank(reps.into_values().collect(), config.k)
+}
+
+fn neighbors(reps: Vec<Rep<'_>>) -> Vec<Neighbor<'_>> {
+    reps.into_iter()
+        .map(|(similarity, _, entry)| Neighbor { entry, similarity })
+        .collect()
 }
 
 /// Read access to a historical-incident store for the retrieval stage.
 ///
 /// The batch pipeline queries its frozen [`HistoricalIndex`]; the online
 /// serving engine queries [`HistorySnapshot`]s of a growing
-/// [`OnlineHistoricalIndex`]. Both return identical answers on the same
-/// visible entries (asserted by property tests), so a prediction is a
-/// pure function of the view contents.
+/// [`ShardedHistoricalIndex`]. Both run the time-outward scan, so a
+/// prediction is a pure function of the visible entries.
 pub trait HistoryView {
     /// Top-`k` distinct-category neighbors of `query_embedding` at
-    /// `query_time` — the contract of [`HistoricalIndex::top_k_diverse`].
+    /// `query_time` — the contract of [`linear_top_k_diverse`].
     fn top_k_diverse(
         &self,
         query_embedding: &[f32],
@@ -260,6 +323,69 @@ pub trait HistoryView {
     /// True if the view holds no entries.
     fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+}
+
+/// The frozen index of historical incidents the batch pipeline trains.
+#[derive(Debug, Clone, Default)]
+pub struct HistoricalIndex {
+    entries: Vec<HistoricalEntry>,
+    /// Positions into `entries`, sorted by `(at, position)`: the scan
+    /// order.
+    by_time: Vec<usize>,
+}
+
+impl HistoricalIndex {
+    /// Creates an empty index.
+    pub fn new() -> Self {
+        HistoricalIndex::default()
+    }
+
+    /// Adds a historical incident.
+    pub fn add(&mut self, entry: HistoricalEntry) {
+        let pos = self
+            .by_time
+            .partition_point(|&i| self.entries[i].at <= entry.at);
+        self.by_time.insert(pos, self.entries.len());
+        self.entries.push(entry);
+    }
+
+    /// Number of indexed incidents.
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// True when the index is empty.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// All entries, in insertion order.
+    pub fn entries(&self) -> &[HistoricalEntry] {
+        &self.entries
+    }
+
+    /// Retrieves the top-`k` most similar incidents **from distinct
+    /// categories**; ties rank in insertion order.
+    pub fn top_k_diverse(
+        &self,
+        query_embedding: &[f32],
+        query_time: SimTime,
+        config: &RetrievalConfig,
+    ) -> Vec<Neighbor<'_>> {
+        let split = self
+            .by_time
+            .partition_point(|&i| self.entries[i].at <= query_time);
+        let (before, after) = self.by_time.split_at(split);
+        let candidate = |&i: &usize| (&self.entries[i], SimTime::EPOCH, i as u64);
+        neighbors(scan_outward(
+            before.iter().rev().map(candidate),
+            after.iter().map(candidate),
+            query_embedding,
+            query_time,
+            config,
+            f64::NEG_INFINITY,
+        ))
     }
 }
 
@@ -278,778 +404,178 @@ impl HistoryView for HistoricalIndex {
     }
 }
 
-/// Entries per copy-on-write chunk in [`OnlineHistoricalIndex`]. Chunking
-/// keeps a snapshot at `O(n / CHUNK)` `Arc` clones and an append at one
-/// `O(CHUNK)` copy worst case, instead of `O(n)` for a flat vector.
-const ENTRY_CHUNK: usize = 256;
-
-/// One stored entry plus the virtual instant it became retrievable —
-/// the resolution time for streamed incidents ([`SimTime::EPOCH`] for
-/// warm-start history, which is visible to every query).
-#[derive(Debug, Clone)]
-struct OnlineEntry {
+/// One entry of the online index.
+#[derive(Debug)]
+struct Stored {
     entry: HistoricalEntry,
+    /// When it became retrievable: the resolution time of a streamed
+    /// incident, [`SimTime::EPOCH`] for warm-start history.
     visible_from: SimTime,
-    /// Global insertion sequence number — the retrieval tie-break. For a
-    /// standalone index this equals the local position; under
-    /// [`ShardedHistoricalIndex`] it is allocated by the router, so
-    /// cross-shard ties resolve exactly as a single index would.
-    global_seq: u64,
+    /// Global insertion sequence, allocated by the router so that ties
+    /// resolve the same at any shard count.
+    seq: u64,
 }
 
-/// Append-only chunked entry store with cheap snapshots.
+impl Stored {
+    fn key(&self) -> (SimTime, u64) {
+        (self.entry.at, self.seq)
+    }
+
+    fn candidate(&self) -> Candidate<'_> {
+        (&self.entry, self.visible_from, self.seq)
+    }
+}
+
+/// A shard's entries in `(at, seq)` order, as copy-on-write chunks of at
+/// most `cap` entries each (never empty). Publishing clones
+/// `O(n / cap)` `Arc`s, and an insert after a publish copies one chunk
+/// of pointers. Online inserts arrive nearly in time order, so they
+/// almost always append to the last chunk.
 #[derive(Debug, Clone, Default)]
-struct EntryChunks {
-    chunks: Vec<Arc<Vec<OnlineEntry>>>,
+struct TimeChunks {
+    chunks: Vec<Arc<Vec<Arc<Stored>>>>,
     len: usize,
 }
 
-impl EntryChunks {
-    fn push(&mut self, item: OnlineEntry) {
-        if self.len.is_multiple_of(ENTRY_CHUNK) {
-            self.chunks.push(Arc::new(Vec::with_capacity(ENTRY_CHUNK)));
-        }
-        let last = self.chunks.last_mut().expect("chunk just ensured");
-        Arc::make_mut(last).push(item);
+impl TimeChunks {
+    fn insert(&mut self, item: Stored, cap: usize) {
+        let key = item.key();
+        let item = Arc::new(item);
         self.len += 1;
-    }
-
-    fn get(&self, i: usize) -> &OnlineEntry {
-        &self.chunks[i / ENTRY_CHUNK][i % ENTRY_CHUNK]
-    }
-
-    fn len(&self) -> usize {
-        self.len
-    }
-}
-
-/// Fixed seed of every online HNSW graph. A constant (rather than
-/// per-shard state) keeps the graph a pure function of the insert
-/// stream, so checkpoint restore and worker-count changes cannot
-/// perturb candidate generation.
-const ANN_SEED: u64 = 0x0a2a_c0de;
-
-/// Inserts staged into an online IVF tier before its quantizer is
-/// trained, as a multiple of `ncells`.
-const IVF_TRAIN_FACTOR: usize = 8;
-
-/// An IVF tier that grows online: inserts are staged until
-/// `ncells * IVF_TRAIN_FACTOR` arrive, the quantizer is k-means-trained
-/// on that prefix once, and every later insert routes to its nearest
-/// frozen centroid. Before training there is no structure to probe, so
-/// [`candidates`](IvfOnline::candidates) reports `None` and the caller
-/// scans exactly — trivially full recall.
-#[derive(Debug, Clone)]
-struct IvfOnline {
-    ncells: usize,
-    built: Option<IvfIndex>,
-    pending: Vec<(u64, Vec<f32>)>,
-}
-
-impl IvfOnline {
-    fn new(ncells: usize) -> Self {
-        IvfOnline {
-            ncells: ncells.max(1),
-            built: None,
-            pending: Vec::new(),
-        }
-    }
-
-    fn insert(&mut self, id: u64, vector: Vec<f32>) {
-        if let Some(ivf) = &mut self.built {
-            ivf.insert(id, vector);
+        if self.chunks.is_empty() {
+            self.chunks.push(Arc::new(vec![item]));
             return;
         }
-        self.pending.push((id, vector));
-        if self.pending.len() >= self.ncells * IVF_TRAIN_FACTOR {
-            self.built = Some(IvfIndex::build(
-                &self.pending,
-                self.ncells,
-                self.ncells,
-                ANN_SEED,
-            ));
-            self.pending.clear();
+        // The first chunk ending at or after the key, else the last one.
+        let ci = self
+            .chunks
+            .partition_point(|c| c.last().is_some_and(|s| s.key() < key))
+            .min(self.chunks.len() - 1);
+        let pos = self.chunks[ci].partition_point(|s| s.key() < key);
+        if pos == self.chunks[ci].len() && pos >= cap {
+            self.chunks.insert(ci + 1, Arc::new(vec![item]));
+            return;
+        }
+        let chunk = Arc::make_mut(&mut self.chunks[ci]);
+        chunk.insert(pos, item);
+        if chunk.len() > cap {
+            let upper = chunk.split_off(chunk.len() / 2);
+            self.chunks.insert(ci + 1, Arc::new(upper));
         }
     }
 
-    /// Candidate ids for `query`, or `None` while untrained (caller
-    /// falls back to the exact scan over everything).
-    fn candidates(&self, query: &[f32], nprobe: usize) -> Option<Vec<u64>> {
-        self.built.as_ref().map(|ivf| ivf.candidates(query, nprobe))
+    fn iter(&self) -> impl Iterator<Item = &Stored> {
+        self.chunks.iter().flat_map(|c| c.iter().map(|s| &**s))
     }
 
-    fn stats(&self) -> IndexStats {
-        match &self.built {
-            Some(ivf) => ivf.stats(),
-            None => {
-                let dim = self.pending.first().map_or(0, |(_, v)| v.len());
-                IndexStats {
-                    vectors: self.pending.len(),
-                    dim,
-                    cells: 0,
-                    layers: 0,
-                    edges: 0,
-                    bytes: self.pending.len() * (dim * 4 + 8 + std::mem::size_of::<Vec<f32>>()),
-                }
-            }
-        }
+    /// Per-category representatives for a query (see [`scan_outward`]).
+    fn scan(
+        &self,
+        query_embedding: &[f32],
+        query_time: SimTime,
+        config: &RetrievalConfig,
+        floor: f64,
+    ) -> Vec<Rep<'_>> {
+        // Chunk `ci` holds the first entry later than the query time.
+        let ci = self
+            .chunks
+            .partition_point(|c| c.last().is_some_and(|s| s.entry.at <= query_time));
+        let (older, rest) = self.chunks.split_at(ci);
+        let (mid_before, mid_after): (&[Arc<Stored>], &[Arc<Stored>]) =
+            rest.first().map_or((&[], &[]), |c| {
+                c.split_at(c.partition_point(|s| s.entry.at <= query_time))
+            });
+        let before = mid_before
+            .iter()
+            .rev()
+            .chain(older.iter().rev().flat_map(|c| c.iter().rev()));
+        let after = mid_after
+            .iter()
+            .chain(rest.iter().skip(1).flat_map(|c| c.iter()));
+        scan_outward(
+            before.map(|s| s.candidate()),
+            after.map(|s| s.candidate()),
+            query_embedding,
+            query_time,
+            config,
+            floor,
+        )
     }
 }
 
-/// The ANN structure an online index maintains next to its exact
-/// bucketed cells, when a non-[`Exact`](RetrievalBackend::Exact) backend
-/// was configured. Ids are the index's *local* entry positions.
-#[derive(Debug, Clone)]
-enum AnnPlane {
-    Hnsw(HnswIndex),
-    Ivf(IvfOnline),
+/// One shard: the working entries, the last published epoch of them,
+/// and its epoch number.
+#[derive(Debug, Default)]
+struct Shard {
+    working: TimeChunks,
+    published: TimeChunks,
+    epoch: u64,
 }
 
-impl AnnPlane {
-    fn for_backend(backend: RetrievalBackend) -> Option<AnnPlane> {
-        match backend {
-            RetrievalBackend::Exact => None,
-            RetrievalBackend::Hnsw {
-                m,
-                ef_construction,
-                ef_search,
-            } => Some(AnnPlane::Hnsw(HnswIndex::new(HnswConfig {
-                m,
-                ef_construction,
-                ef_search,
-                seed: ANN_SEED,
-            }))),
-            RetrievalBackend::Ivf { ncells, .. } => Some(AnnPlane::Ivf(IvfOnline::new(ncells))),
-        }
-    }
-
-    fn insert(&mut self, local: u64, vector: Vec<f32>) {
-        match self {
-            AnnPlane::Hnsw(h) => h.add(local, vector),
-            AnnPlane::Ivf(iv) => iv.insert(local, vector),
-        }
-    }
-
-    /// Candidate local ids under the query's backend parameters, or
-    /// `None` when the structure kind doesn't match the request (or the
-    /// request is `Exact`): the caller then uses the exact scan.
-    fn candidates(&self, query: &[f32], backend: RetrievalBackend) -> Option<Vec<u64>> {
-        match (self, backend) {
-            (AnnPlane::Hnsw(h), RetrievalBackend::Hnsw { ef_search, .. }) => {
-                Some(h.candidates(query, ef_search))
-            }
-            (AnnPlane::Ivf(iv), RetrievalBackend::Ivf { nprobe, .. }) => {
-                iv.candidates(query, nprobe)
-            }
-            _ => None,
-        }
-    }
-
-    fn stats(&self) -> IndexStats {
-        match self {
-            AnnPlane::Hnsw(h) => h.stats(),
-            AnnPlane::Ivf(iv) => iv.stats(),
-        }
-    }
-}
-
-/// An incrementally growing historical index with epoch-snapshotted
-/// read views.
+/// The online historical index: it grows as incidents resolve, and
+/// readers query epoch snapshots of it.
 ///
 /// The batch pipeline builds its index once; an on-call deployment
 /// cannot, because the paper's recurrence structure (93.8% of
 /// recurrences within 20 days, Figure 2) means the most valuable
 /// retrieval candidate for an incoming incident is usually one resolved
 /// *hours* ago. This index accepts [`insert`]s as incidents resolve and
-/// [`publish`]es epochs; concurrent readers take [`snapshot`]s and
-/// query them lock-free. Spatially it delegates to
-/// [`rcacopilot_embed::EpochIndex`] (bucketed cells, online growth),
-/// and queries prune cells whose spatial bound cannot reach the current
-/// `k`-th distinct-category similarity — exact, because the temporal
-/// decay factor never exceeds 1.
+/// [`publish`]es epochs; concurrent readers take [`snapshot`]s and query
+/// them lock-free. A frozen index is one that is never inserted into
+/// after warm start; an unsharded one has one shard.
 ///
-/// [`insert`]: OnlineHistoricalIndex::insert
-/// [`publish`]: OnlineHistoricalIndex::publish
-/// [`snapshot`]: OnlineHistoricalIndex::snapshot
-#[derive(Debug)]
-pub struct OnlineHistoricalIndex {
-    vectors: EpochIndex,
-    /// ANN candidate tier next to the exact cells (`None` for
-    /// [`RetrievalBackend::Exact`]); working side, published as an
-    /// `Arc` clone at each epoch like the entry chunks.
-    ann: Option<AnnPlane>,
-    ann_published: Option<Arc<AnnPlane>>,
-    backend: RetrievalBackend,
-    entries: EntryChunks,
-    published: EntryChunks,
-    /// Sealed epochs between spatial compactions (0 = never compact).
-    compact_every: usize,
-    epochs_since_compaction: usize,
-    compactions: u64,
-}
-
-impl Default for OnlineHistoricalIndex {
-    fn default() -> Self {
-        OnlineHistoricalIndex::new(64)
-    }
-}
-
-impl OnlineHistoricalIndex {
-    /// Creates an empty exact-backend index with the given spatial
-    /// cell-split threshold.
-    pub fn new(max_cell: usize) -> Self {
-        OnlineHistoricalIndex::with_backend(max_cell, RetrievalBackend::Exact)
-    }
-
-    /// Creates an empty index that additionally maintains the given
-    /// backend's ANN candidate structure. The exact bucketed cells are
-    /// always kept — they are the scoring backbone, the cross-shard
-    /// bound source, and the fallback when a query's config asks for a
-    /// different backend kind.
-    pub fn with_backend(max_cell: usize, backend: RetrievalBackend) -> Self {
-        OnlineHistoricalIndex {
-            vectors: EpochIndex::new(max_cell),
-            ann: AnnPlane::for_backend(backend),
-            ann_published: None,
-            backend,
-            entries: EntryChunks::default(),
-            published: EntryChunks::default(),
-            compact_every: 0,
-            epochs_since_compaction: 0,
-            compactions: 0,
-        }
-    }
-
-    /// Warm-starts from existing history (e.g. a trained pipeline's
-    /// index); every seeded entry is visible to all queries. The first
-    /// epoch is published immediately.
-    pub fn warm(entries: &[HistoricalEntry], max_cell: usize) -> Self {
-        OnlineHistoricalIndex::warm_with(entries, max_cell, RetrievalBackend::Exact)
-    }
-
-    /// [`warm`](OnlineHistoricalIndex::warm) with an ANN backend.
-    pub fn warm_with(
-        entries: &[HistoricalEntry],
-        max_cell: usize,
-        backend: RetrievalBackend,
-    ) -> Self {
-        let mut idx = OnlineHistoricalIndex::with_backend(max_cell, backend);
-        for e in entries {
-            idx.insert(e.clone(), SimTime::EPOCH);
-        }
-        idx.publish();
-        idx
-    }
-
-    /// The backend this index maintains a candidate structure for.
-    pub fn backend(&self) -> RetrievalBackend {
-        self.backend
-    }
-
-    /// Footprint report: the exact cells plus the ANN structure if one
-    /// is maintained (both are resident).
-    pub fn index_stats(&self) -> IndexStats {
-        let mut stats = self.vectors.snapshot().stats();
-        if let Some(ann) = &self.ann {
-            stats.merge(&ann.stats());
-        }
-        stats
-    }
-
-    /// Appends a resolved incident. It reaches readers at the next
-    /// [`publish`](OnlineHistoricalIndex::publish), and from then on
-    /// only for queries at or after `visible_from` (its resolution
-    /// instant; pass [`SimTime::EPOCH`] for always-visible history).
-    pub fn insert(&mut self, entry: HistoricalEntry, visible_from: SimTime) {
-        let seq = self.entries.len() as u64;
-        self.insert_at_seq(entry, visible_from, seq);
-    }
-
-    /// [`insert`](OnlineHistoricalIndex::insert) with an explicit global
-    /// sequence number for the retrieval tie-break — the hook
-    /// [`ShardedHistoricalIndex`] routes through so entries keep one
-    /// global insertion order across shards. `global_seq` must be
-    /// strictly increasing across calls on the same index.
-    pub fn insert_at_seq(
-        &mut self,
-        entry: HistoricalEntry,
-        visible_from: SimTime,
-        global_seq: u64,
-    ) {
-        let local = self.entries.len() as u64;
-        self.vectors
-            .add_at(local, entry.embedding.clone(), entry.at.as_secs());
-        if let Some(ann) = &mut self.ann {
-            ann.insert(local, entry.embedding.clone());
-        }
-        self.entries.push(OnlineEntry {
-            entry,
-            visible_from,
-            global_seq,
-        });
-    }
-
-    /// Enables epoch compaction: after every `every_epochs` sealed
-    /// epochs, the spatial index is rebuilt into fresh, tight cells
-    /// (`0` disables, the default). Compaction is transparent — query
-    /// answers are byte-identical before and after (property-tested
-    /// below), because retrieval over the bucketed cells is exact with
-    /// insertion-sequence tie-breaks independent of cell layout.
-    pub fn set_compaction_interval(&mut self, every_epochs: usize) {
-        self.compact_every = every_epochs;
-    }
-
-    /// Number of compactions performed so far.
-    pub fn compactions(&self) -> u64 {
-        self.compactions
-    }
-
-    /// The spatial cell-split threshold.
-    pub fn max_cell(&self) -> usize {
-        self.vectors.max_cell()
-    }
-
-    /// Number of the currently published epoch (0 = nothing published).
-    pub fn epoch(&self) -> u64 {
-        self.vectors.epoch()
-    }
-
-    /// Overrides the epoch counter (checkpoint restore continuity).
-    pub fn set_epoch(&mut self, epoch: u64) {
-        self.vectors.set_epoch(epoch);
-    }
-
-    /// Seals the current contents into a new published epoch and returns
-    /// its number. Past the configured compaction interval, the sealed
-    /// epochs are first folded into a freshly compacted spatial index.
-    pub fn publish(&mut self) -> u64 {
-        self.epochs_since_compaction += 1;
-        if self.compact_every > 0 && self.epochs_since_compaction >= self.compact_every {
-            self.vectors.compact();
-            self.compactions += 1;
-            self.epochs_since_compaction = 0;
-        }
-        let epoch = self.vectors.publish();
-        self.published = self.entries.clone();
-        // Cloning the ANN plane is O(chunks)/O(cells) Arc bumps — the
-        // same copy-on-write contract as the entry chunks above.
-        self.ann_published = self.ann.as_ref().map(|a| Arc::new(a.clone()));
-        epoch
-    }
-
-    /// Entries inserted so far (published or not).
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True if nothing was inserted.
-    pub fn is_empty(&self) -> bool {
-        self.entries.len() == 0
-    }
-
-    /// An immutable view of the latest published epoch. Costs
-    /// `O(cells + n/256)` `Arc` clones; safe to hand to another thread.
-    pub fn snapshot(&self) -> HistorySnapshot {
-        HistorySnapshot {
-            index: self.vectors.snapshot(),
-            ann: self.ann_published.clone(),
-            entries: self.published.clone(),
-        }
-    }
-
-    /// Serializes the index state — every inserted entry with its
-    /// visibility instant, in insertion order — for the serving plane's
-    /// write-ahead checkpoint. [`restore`](OnlineHistoricalIndex::restore)
-    /// rebuilds an index answering every query identically: insertion
-    /// order (the retrieval tie-break) is preserved, and epoch-batch
-    /// boundaries are immaterial because visibility is filtered per query
-    /// by `visible_from`, not by epoch membership.
-    pub fn checkpoint(&self) -> EpochCheckpoint {
-        EpochCheckpoint {
-            max_cell: self.max_cell(),
-            epoch: self.epoch(),
-            entries: (0..self.entries.len())
-                .map(|i| {
-                    let stored = self.entries.get(i);
-                    CheckpointEntry {
-                        entry: stored.entry.clone(),
-                        visible_from: stored.visible_from,
-                    }
-                })
-                .collect(),
-        }
-    }
-
-    /// Every stored entry with its global sequence number — the raw
-    /// material [`ShardedHistoricalIndex::checkpoint`] merges back into
-    /// one global-order list.
-    fn seq_entries(&self) -> Vec<(u64, CheckpointEntry)> {
-        (0..self.entries.len())
-            .map(|i| {
-                let stored = self.entries.get(i);
-                (
-                    stored.global_seq,
-                    CheckpointEntry {
-                        entry: stored.entry.clone(),
-                        visible_from: stored.visible_from,
-                    },
-                )
-            })
-            .collect()
-    }
-
-    /// Rebuilds an index from a [`checkpoint`](OnlineHistoricalIndex::checkpoint):
-    /// entries are re-inserted in their original order and published in
-    /// one epoch, and the epoch counter resumes from the checkpoint.
-    pub fn restore(checkpoint: &EpochCheckpoint) -> Self {
-        OnlineHistoricalIndex::restore_with(checkpoint, RetrievalBackend::Exact)
-    }
-
-    /// [`restore`](OnlineHistoricalIndex::restore) with an ANN backend.
-    /// The ANN structure is rebuilt by re-inserting in the checkpoint's
-    /// order, and since the graph/quantizer is a pure function of the
-    /// insert stream and a fixed seed, the restored candidate sets are
-    /// identical to the crashed index's.
-    pub fn restore_with(checkpoint: &EpochCheckpoint, backend: RetrievalBackend) -> Self {
-        let mut idx = OnlineHistoricalIndex::with_backend(checkpoint.max_cell.max(1), backend);
-        for ce in &checkpoint.entries {
-            idx.insert(ce.entry.clone(), ce.visible_from);
-        }
-        idx.publish();
-        idx.set_epoch(checkpoint.epoch);
-        idx
-    }
-}
-
-/// One [`OnlineHistoricalIndex`] entry as journaled by the serving
-/// plane's write-ahead log.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct CheckpointEntry {
-    /// The stored historical entry.
-    pub entry: HistoricalEntry,
-    /// The virtual instant it became retrievable.
-    pub visible_from: SimTime,
-}
-
-/// A serializable snapshot of an [`OnlineHistoricalIndex`]'s full state.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct EpochCheckpoint {
-    /// Spatial cell-split threshold to rebuild with.
-    pub max_cell: usize,
-    /// Published epoch number at checkpoint time.
-    pub epoch: u64,
-    /// Every inserted entry, in insertion order.
-    pub entries: Vec<CheckpointEntry>,
-}
-
-/// A sealed read view of one [`OnlineHistoricalIndex`] epoch.
-#[derive(Debug, Clone)]
-pub struct HistorySnapshot {
-    index: Arc<BucketedIndex>,
-    /// Published ANN candidate structure, if the index maintains one.
-    ann: Option<Arc<AnnPlane>>,
-    entries: EntryChunks,
-}
-
-/// The retrieval ranking's "strictly better" relation on
-/// `(similarity, global_seq)`: higher similarity wins, earlier global
-/// insertion breaks ties — shared by the exact scan and the ANN re-rank
-/// so both produce bit-identical per-category representatives.
-fn better_rep(a: (f64, u64), b: (f64, u64)) -> bool {
-    match a.0.total_cmp(&b.0) {
-        std::cmp::Ordering::Greater => true,
-        std::cmp::Ordering::Less => false,
-        std::cmp::Ordering::Equal => a.1 < b.1,
-    }
-}
-
-/// Final ranking of per-category best `(similarity, global_seq, local)`
-/// representatives: `(similarity desc, global_seq asc)`, cut to `k`.
-fn rank_reps(
-    best: std::collections::BTreeMap<&str, (f64, u64, usize)>,
-    k: usize,
-) -> Vec<(u64, f64, usize)> {
-    let mut reps: Vec<(u64, f64, usize)> =
-        best.into_values().map(|(s, seq, i)| (seq, s, i)).collect();
-    reps.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-    reps.truncate(k);
-    reps
-}
-
-impl HistorySnapshot {
-    /// Entries in this epoch (before per-query visibility filtering).
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True if the epoch holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.entries.len() == 0
-    }
-
-    /// Entries visible to a query at `at`.
-    pub fn visible_len(&self, at: SimTime) -> usize {
-        (0..self.entries.len())
-            .filter(|&i| self.entries.get(i).visible_from <= at)
-            .count()
-    }
-
-    /// Safe upper bound on the temporal-decay factor of any entry in a
-    /// cell whose nearest timestamp is `min_dt_secs` away. Exact-safe:
-    /// the integer Δt is converted through the *same* seconds→days path
-    /// the per-entry similarity uses, and every step (u64→f64, ×alpha,
-    /// exp) is monotone, so the bound can never round below a real
-    /// entry's factor.
-    fn decay_bound(min_dt_secs: u64, alpha: f64) -> f64 {
-        (-alpha * SimDuration::from_secs(min_dt_secs).as_days_f64()).exp()
-    }
-
-    /// Best similarity any entry of this snapshot could reach for a
-    /// query at `query_time` — the max over cells of the combined
-    /// spatial × temporal bound. `f64::NEG_INFINITY` when empty. The
-    /// cross-shard merge uses this to visit shards best-first and stop
-    /// early.
-    pub fn best_bound(&self, query_embedding: &[f32], query_time: SimTime, alpha: f64) -> f64 {
-        let qsecs = query_time.as_secs();
-        self.index
-            .prune_scan(query_embedding)
-            .iter()
-            .map(|scan| {
-                let spatial = 1.0 / (1.0 + scan.lower_bound);
-                spatial * Self::decay_bound(scan.min_abs_dt_secs(qsecs), alpha)
-            })
-            .fold(f64::NEG_INFINITY, f64::max)
-    }
-
-    /// Bound-pruned exact retrieval of this snapshot's per-category best
-    /// entries as `(global_seq, similarity, local index)`, at most
-    /// `config.k` of them, ranked by `(similarity desc, global_seq
-    /// asc)`.
-    ///
-    /// Cells are visited in spatial-lower-bound order. Once `k` category
-    /// representatives exist, a cell is *skipped* when even its combined
-    /// spatial × temporal bound cannot beat the current `k`-th
-    /// similarity, and the scan *stops* when the spatial bound alone
-    /// cannot (the spatial bound is monotone in scan order; the combined
-    /// bound is not, so it only ever skips). Tie-breaking follows the
-    /// linear scan's stable sort: higher similarity first, then earlier
-    /// global insertion.
-    fn diverse_reps(
-        &self,
-        query_embedding: &[f32],
-        query_time: SimTime,
-        config: &RetrievalConfig,
-    ) -> Vec<(u64, f64, usize)> {
-        debug_assert!(
-            query_embedding.iter().all(|x| x.is_finite()),
-            "query embedding must be finite"
-        );
-        // ANN path: the configured structure proposes candidates, the
-        // exact similarity re-ranks them. When the candidate set covers
-        // every visible entry (saturation), the per-category bests and
-        // the final ranking are computed by the very same code over the
-        // very same values as the exact scan — byte-identical answers.
-        if let Some(cands) = self
-            .ann
-            .as_deref()
-            .and_then(|a| a.candidates(query_embedding, config.backend))
-        {
-            return self.rerank_candidates(&cands, query_embedding, query_time, config);
-        }
-        let qsecs = query_time.as_secs();
-        // Best (similarity, global seq, local index) per category.
-        let mut best: std::collections::BTreeMap<&str, (f64, u64, usize)> =
-            std::collections::BTreeMap::new();
-        for scan in self.index.prune_scan(query_embedding) {
-            if best.len() >= config.k {
-                // k-th best category representative so far.
-                let mut sims: Vec<f64> = best.values().map(|&(s, _, _)| s).collect();
-                sims.sort_by(|a, b| b.total_cmp(a));
-                let kth = sims[config.k - 1];
-                let spatial = 1.0 / (1.0 + scan.lower_bound);
-                // The spatial bound is monotone across the ordered scan:
-                // once it falls below the k-th similarity (even through a
-                // zero time gap), no later cell can contribute.
-                if spatial.total_cmp(&kth) == std::cmp::Ordering::Less {
-                    break;
-                }
-                // The temporal-decay factor is not monotone in scan
-                // order, so a cell disqualified by age alone is skipped,
-                // not a stopping point. Strict comparison: a bound that
-                // *ties* the k-th could still hide an entry winning on
-                // insertion order.
-                let upper = spatial * Self::decay_bound(scan.min_abs_dt_secs(qsecs), config.alpha);
-                if upper.total_cmp(&kth) == std::cmp::Ordering::Less {
-                    continue;
-                }
-            }
-            for (local, _) in scan.items() {
-                let i = local as usize;
-                let stored = self.entries.get(i);
-                if stored.visible_from > query_time {
-                    continue;
-                }
-                let dist = euclidean(query_embedding, &stored.entry.embedding);
-                let dt = stored.entry.at.abs_diff(query_time).as_days_f64();
-                let sim = similarity(dist, dt, config.alpha);
-                let cand = (sim, stored.global_seq, i);
-                match best.entry(stored.entry.category.as_str()) {
-                    std::collections::btree_map::Entry::Vacant(v) => {
-                        v.insert(cand);
-                    }
-                    std::collections::btree_map::Entry::Occupied(mut o) => {
-                        let cur = *o.get();
-                        if better_rep((cand.0, cand.1), (cur.0, cur.1)) {
-                            o.insert(cand);
-                        }
-                    }
-                }
-            }
-        }
-        rank_reps(best, config.k)
-    }
-
-    /// Exact temporal-decay re-rank of an ANN candidate set.
-    ///
-    /// `cands` holds local entry indexes proposed by the candidate
-    /// structure. Each visible candidate is scored with the *same* f64
-    /// similarity as the exact scan, reduced to per-category bests via
-    /// [`better_rep`], and ranked via [`rank_reps`] — so the only way
-    /// this can differ from the exact path is by candidates the ANN
-    /// structure failed to propose.
-    fn rerank_candidates(
-        &self,
-        cands: &[u64],
-        query_embedding: &[f32],
-        query_time: SimTime,
-        config: &RetrievalConfig,
-    ) -> Vec<(u64, f64, usize)> {
-        let mut best: std::collections::BTreeMap<&str, (f64, u64, usize)> =
-            std::collections::BTreeMap::new();
-        for &local in cands {
-            let i = local as usize;
-            if i >= self.entries.len() {
-                // A published graph can briefly run ahead of the sealed
-                // entry chunks between publishes; ignore unknown ids.
-                continue;
-            }
-            let stored = self.entries.get(i);
-            if stored.visible_from > query_time {
-                continue;
-            }
-            let dist = euclidean(query_embedding, &stored.entry.embedding);
-            let dt = stored.entry.at.abs_diff(query_time).as_days_f64();
-            let sim = similarity(dist, dt, config.alpha);
-            let cand = (sim, stored.global_seq, i);
-            match best.entry(stored.entry.category.as_str()) {
-                std::collections::btree_map::Entry::Vacant(v) => {
-                    v.insert(cand);
-                }
-                std::collections::btree_map::Entry::Occupied(mut o) => {
-                    let cur = *o.get();
-                    if better_rep((cand.0, cand.1), (cur.0, cur.1)) {
-                        o.insert(cand);
-                    }
-                }
-            }
-        }
-        rank_reps(best, config.k)
-    }
-}
-
-impl HistoryView for HistorySnapshot {
-    /// Bound-pruned exact retrieval (see `HistorySnapshot::diverse_reps`,
-    /// private): the answer is
-    /// byte-identical to [`HistoricalIndex::top_k_diverse`] over the
-    /// same visible entries.
-    fn top_k_diverse(
-        &self,
-        query_embedding: &[f32],
-        query_time: SimTime,
-        config: &RetrievalConfig,
-    ) -> Vec<Neighbor<'_>> {
-        self.diverse_reps(query_embedding, query_time, config)
-            .into_iter()
-            .map(|(_, sim, i)| Neighbor {
-                entry: &self.entries.get(i).entry,
-                similarity: sim,
-            })
-            .collect()
-    }
-
-    fn len(&self) -> usize {
-        self.entries.len()
-    }
-}
-
-/// A category-sharded [`OnlineHistoricalIndex`]: the serving plane's
-/// retrieval index split into `N` independently locked shards.
+/// Entries split into `N` independently locked shards, routed by
+/// [`shard_for_category`], so every entry of a category lives in exactly
+/// one shard. Query answers — and therefore the serving engine's
+/// prediction log — are **byte-identical** for any shard count:
 ///
-/// Routing is by [`shard_for_category`], so every entry of a category
-/// lives in exactly one shard and each shard's per-category best is
-/// already globally correct. Three invariants keep query answers — and
-/// therefore the serving engine's prediction log — **byte-identical** to
-/// one unsharded index, for any shard count:
-///
-/// 1. **Global sequence numbers.** The router allocates one monotonically
-///    increasing `global_seq` per insert; cross-category similarity ties
-///    resolve on it exactly as a single index's insertion order would.
-/// 2. **Exact per-shard retrieval.** Each shard answers with its
-///    bound-pruned exact per-category representatives
-///    (`HistorySnapshot::diverse_reps`, private).
-/// 3. **Bounded merge.** Shards are visited in descending
-///    [`HistorySnapshot::best_bound`] order (spatial × temporal-decay
-///    upper bound); once `k` representatives are held and the next
-///    shard's bound is *strictly* below the `k`-th similarity, the
-///    remaining shards are skipped — a work win, not just a lock split.
+/// 1. **Global sequence numbers.** The router allocates one increasing
+///    `seq` per insert, and ties resolve on it exactly as one index's
+///    insertion order would.
+/// 2. **Exact per-shard scans.** Each shard answers with the
+///    time-outward scan's per-category representatives.
+/// 3. **Floored merge.** Categories partition across shards, so the
+///    merge only ranks whole categories; the running `k`-th similarity
+///    is handed to the next shard's scan as a floor, which stops it
+///    earlier without changing the answer.
 ///
 /// All methods take `&self`: shard locks are internal, and a lock
 /// poisoned by a dying worker thread is recovered (and counted) rather
 /// than propagated, matching the serving plane's supervision policy.
+///
+/// [`insert`]: ShardedHistoricalIndex::insert
+/// [`publish`]: ShardedHistoricalIndex::publish
+/// [`snapshot`]: ShardedHistoricalIndex::snapshot
 #[derive(Debug)]
 pub struct ShardedHistoricalIndex {
-    shards: Vec<Mutex<OnlineHistoricalIndex>>,
+    shards: Vec<Mutex<Shard>>,
+    /// Entries per time-ordered chunk.
+    max_cell: usize,
     next_seq: AtomicU64,
     poison_recoveries: AtomicU64,
 }
 
 impl ShardedHistoricalIndex {
-    /// An empty index with `shards` shards (clamped to ≥ 1), each with
-    /// the given spatial cell-split threshold.
+    /// An empty index with `shards` shards (clamped to ≥ 1) whose
+    /// time-ordered chunks hold up to `max_cell` entries (clamped to
+    /// ≥ 1). The chunk size trades publish cost against insert cost; it
+    /// never changes an answer.
     pub fn new(shards: usize, max_cell: usize) -> Self {
-        Self::new_with(shards, max_cell, RetrievalBackend::Exact)
-    }
-
-    /// An empty index whose shards each maintain the candidate structure
-    /// for `backend` (see [`OnlineHistoricalIndex::with_backend`]). Each
-    /// shard builds its *own* ANN graph over its own entries; the
-    /// bound-ordered cross-shard merge is unchanged because
-    /// [`HistorySnapshot::best_bound`] is still computed from the exact
-    /// bucketed cells.
-    pub fn new_with(shards: usize, max_cell: usize, backend: RetrievalBackend) -> Self {
         ShardedHistoricalIndex {
             shards: (0..shards.max(1))
-                .map(|_| Mutex::new(OnlineHistoricalIndex::with_backend(max_cell, backend)))
+                .map(|_| Mutex::new(Shard::default()))
                 .collect(),
+            max_cell: max_cell.max(1),
             next_seq: AtomicU64::new(0),
             poison_recoveries: AtomicU64::new(0),
         }
     }
 
-    /// Warm-starts from existing history in slice order (matching
-    /// [`OnlineHistoricalIndex::warm`]) and publishes every shard.
+    /// Warm-starts from existing history (e.g. a trained pipeline's
+    /// index) in slice order and publishes every shard. Every seeded
+    /// entry is visible to all queries.
     pub fn warm(entries: &[HistoricalEntry], shards: usize, max_cell: usize) -> Self {
-        Self::warm_with(entries, shards, max_cell, RetrievalBackend::Exact)
-    }
-
-    /// [`warm`](Self::warm) with a retrieval backend for every shard.
-    pub fn warm_with(
-        entries: &[HistoricalEntry],
-        shards: usize,
-        max_cell: usize,
-        backend: RetrievalBackend,
-    ) -> Self {
-        let idx = ShardedHistoricalIndex::new_with(shards, max_cell, backend);
+        let idx = ShardedHistoricalIndex::new(shards, max_cell);
         for e in entries {
             idx.insert(e.clone(), SimTime::EPOCH);
         }
@@ -1057,19 +583,21 @@ impl ShardedHistoricalIndex {
         idx
     }
 
-    /// Aggregated candidate-structure statistics across shards (exact
-    /// bucketed cells merged with any ANN graph/quantizer footprint).
-    pub fn index_stats(&self) -> IndexStats {
-        let mut total = IndexStats::default();
-        for s in 0..self.shards.len() {
-            total.merge(&self.lock_shard(s).index_stats());
+    /// [`warm`](Self::warm) with the retrieval backend named explicitly.
+    pub fn warm_with(
+        entries: &[HistoricalEntry],
+        shards: usize,
+        max_cell: usize,
+        backend: RetrievalBackend,
+    ) -> Self {
+        match backend {
+            RetrievalBackend::Exact => Self::warm(entries, shards, max_cell),
         }
-        total
     }
 
-    fn lock_shard(&self, shard: usize) -> MutexGuard<'_, OnlineHistoricalIndex> {
+    fn lock_shard(&self, shard: usize) -> MutexGuard<'_, Shard> {
         self.shards[shard].lock().unwrap_or_else(|poisoned| {
-            self.poison_recoveries.fetch_add(1, Ordering::Relaxed);
+            self.poison_recoveries.fetch_add(1, AtomicOrdering::Relaxed);
             poisoned.into_inner()
         })
     }
@@ -1085,60 +613,56 @@ impl ShardedHistoricalIndex {
     }
 
     /// Appends a resolved incident to its category's shard, allocating
-    /// the next global sequence number. Returns the shard it landed in
-    /// (whose next [`publish`](ShardedHistoricalIndex::publish) makes it
-    /// visible).
+    /// the next global sequence number. It reaches readers at that
+    /// shard's next [`publish`](Self::publish), and from then on only
+    /// queries at or after `visible_from` (its resolution instant; pass
+    /// [`SimTime::EPOCH`] for always-visible history). Returns the shard
+    /// it landed in.
     pub fn insert(&self, entry: HistoricalEntry, visible_from: SimTime) -> usize {
-        let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
+        let seq = self.next_seq.fetch_add(1, AtomicOrdering::Relaxed);
         let shard = self.route(&entry.category);
-        self.lock_shard(shard)
-            .insert_at_seq(entry, visible_from, seq);
+        self.lock_shard(shard).working.insert(
+            Stored {
+                entry,
+                visible_from,
+                seq,
+            },
+            self.max_cell,
+        );
         shard
     }
 
     /// Publishes one shard's pending inserts as a new epoch and returns
     /// the shard's epoch number.
     pub fn publish(&self, shard: usize) -> u64 {
-        self.lock_shard(shard).publish()
+        let mut guard = self.lock_shard(shard);
+        guard.published = guard.working.clone();
+        guard.epoch += 1;
+        guard.epoch
     }
 
     /// Publishes every shard (warm start / checkpoint restore).
     pub fn publish_all(&self) {
         for s in 0..self.shards.len() {
-            self.lock_shard(s).publish();
+            self.publish(s);
         }
     }
 
-    /// Sets every shard's epoch-compaction interval
-    /// (see [`OnlineHistoricalIndex::set_compaction_interval`]).
-    pub fn set_compaction_interval(&self, every_epochs: usize) {
-        for s in 0..self.shards.len() {
-            self.lock_shard(s).set_compaction_interval(every_epochs);
-        }
-    }
-
-    /// Total spatial compactions across shards.
-    pub fn compactions(&self) -> u64 {
-        (0..self.shards.len())
-            .map(|s| self.lock_shard(s).compactions())
-            .sum()
-    }
-
-    /// One shard's published epoch number.
+    /// One shard's published epoch number (0 = nothing published).
     pub fn epoch(&self, shard: usize) -> u64 {
-        self.lock_shard(shard).epoch()
+        self.lock_shard(shard).epoch
     }
 
     /// Overrides one shard's epoch counter (journal continuity on
     /// recovery).
     pub fn set_epoch(&self, shard: usize, epoch: u64) {
-        self.lock_shard(shard).set_epoch(epoch);
+        self.lock_shard(shard).epoch = epoch;
     }
 
     /// Entries inserted so far across all shards (published or not).
     pub fn len(&self) -> usize {
         (0..self.shards.len())
-            .map(|s| self.lock_shard(s).len())
+            .map(|s| self.lock_shard(s).working.len)
             .sum()
     }
 
@@ -1150,67 +674,63 @@ impl ShardedHistoricalIndex {
     /// Poisoned shard locks recovered so far (folded into the engine's
     /// fault counters).
     pub fn poison_recoveries(&self) -> u64 {
-        self.poison_recoveries.load(Ordering::Relaxed)
+        self.poison_recoveries.load(AtomicOrdering::Relaxed)
     }
 
-    /// An immutable cross-shard view of each shard's latest published
-    /// epoch. Shards are snapshotted one at a time — the serving engine
-    /// commits inserts under its own in-order watermark, so per-query
+    /// An immutable view of each shard's latest published epoch. Costs
+    /// `O(n / max_cell)` `Arc` clones; safe to hand to another thread.
+    /// Shards are snapshotted one at a time — the serving engine commits
+    /// inserts under its own in-order watermark, so per-query
     /// `visible_from` filtering (not snapshot atomicity) is what defines
     /// the visible set.
-    pub fn snapshot(&self) -> ShardedHistorySnapshot {
-        ShardedHistorySnapshot {
+    pub fn snapshot(&self) -> HistorySnapshot {
+        HistorySnapshot {
             shards: (0..self.shards.len())
-                .map(|s| self.lock_shard(s).snapshot())
+                .map(|s| self.lock_shard(s).published.clone())
                 .collect(),
         }
     }
 
     /// Serializes all shards as one flat entry list in global insertion
-    /// order. Storing the *merged* order (rather than per-shard lists)
-    /// makes the checkpoint shard-count independent: restoring with a
-    /// different `shards` value re-routes deterministically and
-    /// reproduces identical retrieval answers.
+    /// order, for the serving plane's write-ahead checkpoint. Storing the
+    /// *merged* order (rather than per-shard lists) makes the checkpoint
+    /// shard-count independent: restoring with a different `shards`
+    /// value re-routes deterministically and reproduces identical
+    /// answers.
     pub fn checkpoint(&self) -> ShardedCheckpoint {
         let mut seqd: Vec<(u64, CheckpointEntry)> = Vec::new();
         let mut shard_epochs = Vec::with_capacity(self.shards.len());
-        let mut max_cell = 1;
         for s in 0..self.shards.len() {
             let guard = self.lock_shard(s);
-            seqd.extend(guard.seq_entries());
-            shard_epochs.push(guard.epoch());
-            max_cell = guard.max_cell();
+            seqd.extend(guard.working.iter().map(|stored| {
+                (
+                    stored.seq,
+                    CheckpointEntry {
+                        entry: stored.entry.clone(),
+                        visible_from: stored.visible_from,
+                    },
+                )
+            }));
+            shard_epochs.push(guard.epoch);
         }
         seqd.sort_by_key(|&(seq, _)| seq);
         ShardedCheckpoint {
-            max_cell,
+            max_cell: self.max_cell,
             shard_epochs,
             entries: seqd.into_iter().map(|(_, e)| e).collect(),
         }
     }
 
-    /// Rebuilds a sharded index from a checkpoint with `shards` shards
-    /// (not necessarily the checkpoint's count): entries are re-inserted
-    /// in global order — the deterministic router reassigns shards and
+    /// Rebuilds an index from a checkpoint with `shards` shards (not
+    /// necessarily the checkpoint's count): entries are re-inserted in
+    /// global order — the deterministic router reassigns shards and
     /// sequence numbers — and every shard is published once. Per-shard
     /// epoch counters are restored positionally where the shard exists;
     /// epoch numbering is journal bookkeeping and never affects query
-    /// answers.
+    /// answers, because visibility is filtered per query by
+    /// `visible_from`, not by epoch membership.
     pub fn restore(checkpoint: &ShardedCheckpoint, shards: usize) -> Self {
-        Self::restore_with(checkpoint, shards, RetrievalBackend::Exact)
-    }
-
-    /// [`restore`](Self::restore) with a retrieval backend for every
-    /// shard. The backend is a parameter (not checkpoint state): the
-    /// seeded ANN graph is a pure function of the re-inserted entry
-    /// stream, so the owning engine re-applies its configured backend
-    /// and reproduces the same graph.
-    pub fn restore_with(
-        checkpoint: &ShardedCheckpoint,
-        shards: usize,
-        backend: RetrievalBackend,
-    ) -> Self {
-        let idx = ShardedHistoricalIndex::new_with(shards, checkpoint.max_cell.max(1), backend);
+        let idx = ShardedHistoricalIndex::new(shards, checkpoint.max_cell);
         for ce in &checkpoint.entries {
             idx.insert(ce.entry.clone(), ce.visible_from);
         }
@@ -1224,10 +744,20 @@ impl ShardedHistoricalIndex {
     }
 }
 
+/// One [`ShardedHistoricalIndex`] entry as journaled by the serving
+/// plane's write-ahead log.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct CheckpointEntry {
+    /// The stored historical entry.
+    pub entry: HistoricalEntry,
+    /// The virtual instant it became retrievable.
+    pub visible_from: SimTime,
+}
+
 /// A serializable snapshot of a [`ShardedHistoricalIndex`]'s full state.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ShardedCheckpoint {
-    /// Spatial cell-split threshold to rebuild with.
+    /// Entries per time-ordered chunk to rebuild with.
     pub max_cell: usize,
     /// Per-shard published epoch numbers at checkpoint time (length =
     /// the checkpointing index's shard count).
@@ -1236,82 +766,36 @@ pub struct ShardedCheckpoint {
     pub entries: Vec<CheckpointEntry>,
 }
 
-/// A sealed cross-shard read view of a [`ShardedHistoricalIndex`].
+/// A sealed read view of every shard of a [`ShardedHistoricalIndex`].
 #[derive(Debug, Clone)]
-pub struct ShardedHistorySnapshot {
-    shards: Vec<HistorySnapshot>,
+pub struct HistorySnapshot {
+    shards: Vec<TimeChunks>,
 }
 
-impl ShardedHistorySnapshot {
-    /// Per-shard views (tests and diagnostics).
-    pub fn shard_views(&self) -> &[HistorySnapshot] {
-        &self.shards
-    }
-
-    /// Entries visible to a query at `at`, across shards.
-    pub fn visible_len(&self, at: SimTime) -> usize {
-        self.shards.iter().map(|s| s.visible_len(at)).sum()
-    }
-}
-
-impl HistoryView for ShardedHistorySnapshot {
-    /// Cross-shard top-`k` distinct-category merge, byte-identical to a
-    /// single [`HistorySnapshot`] over the same entries: shards are
-    /// visited best-bound-first, each contributes its exact per-category
-    /// representatives, and the running top-`k` is re-ranked by
-    /// `(similarity desc, global_seq asc)`. Once the next shard's bound
-    /// is strictly below the `k`-th similarity, every remaining shard is
-    /// skipped (their bounds are no larger).
+impl HistoryView for HistorySnapshot {
+    /// The shards' scans, merged: each shard's representatives join the
+    /// running top `k`, whose `k`-th similarity floors the next shard's
+    /// scan.
     fn top_k_diverse(
         &self,
         query_embedding: &[f32],
         query_time: SimTime,
         config: &RetrievalConfig,
     ) -> Vec<Neighbor<'_>> {
-        // (shard, bound), best bound first; shard index breaks ties so
-        // the visit order — though not the answer — is deterministic.
-        let mut order: Vec<(usize, f64)> = self
-            .shards
-            .iter()
-            .enumerate()
-            .map(|(s, snap)| {
-                (
-                    s,
-                    snap.best_bound(query_embedding, query_time, config.alpha),
-                )
-            })
-            .collect();
-        order.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        // (global_seq, similarity, shard, local index)
-        let mut reps: Vec<(u64, f64, usize, usize)> = Vec::new();
-        for (s, bound) in order {
-            if reps.len() >= config.k {
-                let kth = reps[config.k - 1].1;
-                if bound.total_cmp(&kth) == std::cmp::Ordering::Less {
-                    break;
-                }
-            }
-            reps.extend(
-                self.shards[s]
-                    .diverse_reps(query_embedding, query_time, config)
-                    .into_iter()
-                    .map(|(seq, sim, i)| (seq, sim, s, i)),
-            );
-            // Categories partition across shards, so representatives
-            // never collide: rank and cut to k directly.
-            reps.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-            reps.truncate(config.k);
+        let mut reps: Vec<Rep<'_>> = Vec::new();
+        for shard in &self.shards {
+            let floor = match config.k.checked_sub(1).and_then(|i| reps.get(i)) {
+                Some(&(kth, _, _)) => kth,
+                None => f64::NEG_INFINITY,
+            };
+            reps.extend(shard.scan(query_embedding, query_time, config, floor));
+            reps = rank(reps, config.k);
         }
-        reps.into_iter()
-            .map(|(_, sim, s, i)| Neighbor {
-                entry: &self.shards[s].entries.get(i).entry,
-                similarity: sim,
-            })
-            .collect()
+        neighbors(reps)
     }
 
     fn len(&self) -> usize {
-        self.shards.iter().map(HistorySnapshot::len).sum()
+        self.shards.iter().map(|s| s.len).sum()
     }
 }
 
@@ -1348,22 +832,15 @@ mod tests {
         // Same embedding, different times; category must differ to coexist.
         idx.add(entry(0, "Old", 10, vec![0.0, 0.0]));
         idx.add(entry(1, "New", 99, vec![0.0, 0.0]));
-        let cfg = RetrievalConfig {
-            k: 2,
-            alpha: 0.3,
-            ..RetrievalConfig::default()
-        };
+        let cfg = RetrievalConfig { k: 2, alpha: 0.3 };
         let hits = idx.top_k_diverse(&[0.0, 0.0], SimTime::from_days(100), &cfg);
         assert_eq!(hits[0].entry.category, "New");
         assert!(hits[0].similarity > hits[1].similarity);
         // With alpha = 0 the tie is broken by insertion order, not time.
-        let cfg0 = RetrievalConfig {
-            k: 2,
-            alpha: 0.0,
-            ..RetrievalConfig::default()
-        };
+        let cfg0 = RetrievalConfig { k: 2, alpha: 0.0 };
         let hits0 = idx.top_k_diverse(&[0.0, 0.0], SimTime::from_days(100), &cfg0);
-        assert!((hits0[0].similarity - hits0[1].similarity).abs() < 1e-12);
+        assert_eq!(hits0[0].similarity, hits0[1].similarity);
+        assert_eq!(hits0[0].entry.category, "Old");
     }
 
     #[test]
@@ -1373,11 +850,7 @@ mod tests {
         idx.add(entry(1, "A", 50, vec![0.1]));
         idx.add(entry(2, "B", 50, vec![5.0]));
         idx.add(entry(3, "C", 50, vec![9.0]));
-        let cfg = RetrievalConfig {
-            k: 3,
-            alpha: 0.0,
-            ..RetrievalConfig::default()
-        };
+        let cfg = RetrievalConfig { k: 3, alpha: 0.0 };
         let hits = idx.top_k_diverse(&[0.0], SimTime::from_days(50), &cfg);
         let cats: Vec<&str> = hits.iter().map(|n| n.entry.category.as_str()).collect();
         assert_eq!(cats, vec!["A", "B", "C"]);
@@ -1390,21 +863,53 @@ mod tests {
         let mut idx = HistoricalIndex::new();
         idx.add(entry(0, "A", 1, vec![0.0]));
         idx.add(entry(1, "B", 1, vec![1.0]));
-        let cfg = RetrievalConfig {
-            k: 10,
-            alpha: 0.3,
-            ..RetrievalConfig::default()
-        };
+        let cfg = RetrievalConfig { k: 10, alpha: 0.3 };
         let hits = idx.top_k_diverse(&[0.0], SimTime::from_days(1), &cfg);
         assert_eq!(hits.len(), 2);
     }
 
     #[test]
-    fn empty_index_returns_nothing() {
+    fn empty_index_and_zero_k_return_nothing() {
         let idx = HistoricalIndex::new();
         let hits = idx.top_k_diverse(&[0.0], SimTime::EPOCH, &RetrievalConfig::default());
         assert!(hits.is_empty());
         assert!(idx.is_empty());
+        let online = ShardedHistoricalIndex::warm(&[entry(0, "A", 1, vec![0.0])], 2, 4);
+        let cfg = RetrievalConfig { k: 0, alpha: 0.3 };
+        assert!(
+            HistoryView::top_k_diverse(&online.snapshot(), &[0.0], SimTime::EPOCH, &cfg).is_empty()
+        );
+    }
+
+    #[test]
+    fn scan_stops_at_the_decay_bound_but_keeps_ties() {
+        // Query on day 100. "Near" sits on the query (similarity 1); every
+        // other category is 30+ days away with bound e^-9 < 1, so k = 1
+        // stops at the first far entry. The far entries still matter for
+        // k = 3, and with alpha = 0 the bound never prunes.
+        let mut idx = HistoricalIndex::new();
+        idx.add(entry(0, "Far1", 10, vec![0.0]));
+        idx.add(entry(1, "Near", 100, vec![0.0]));
+        idx.add(entry(2, "Far2", 170, vec![0.0]));
+        idx.add(entry(3, "Far3", 130, vec![0.0]));
+        for k in 1..=4 {
+            for alpha in [0.0, 0.3, 5.0] {
+                let cfg = RetrievalConfig { k, alpha };
+                let at = SimTime::from_days(100);
+                assert_eq!(
+                    idx.top_k_diverse(&[0.0], at, &cfg),
+                    linear_top_k_diverse(idx.entries(), &[0.0], at, &cfg),
+                    "k {k} alpha {alpha}"
+                );
+            }
+        }
+        let cfg = RetrievalConfig { k: 3, alpha: 0.3 };
+        let cats: Vec<String> = idx
+            .top_k_diverse(&[0.0], SimTime::from_days(100), &cfg)
+            .into_iter()
+            .map(|n| n.entry.category.clone())
+            .collect();
+        assert_eq!(cats, ["Near", "Far3", "Far2"]);
     }
 
     #[test]
@@ -1418,27 +923,42 @@ mod tests {
                 vec![(i % 5) as f32, (i % 3) as f32 * 2.0],
             ));
         }
-        let online = OnlineHistoricalIndex::warm(linear.entries(), 4);
+        let online = ShardedHistoricalIndex::warm(linear.entries(), 1, 4);
         let snap = online.snapshot();
         assert_eq!(HistoryView::len(&snap), linear.len());
-        let cfg = RetrievalConfig {
-            k: 5,
-            alpha: 0.3,
-            ..RetrievalConfig::default()
-        };
+        let cfg = RetrievalConfig { k: 5, alpha: 0.3 };
         for q in [[0.0f32, 0.0], [3.5, 1.0], [4.0, 6.0]] {
             for day in [0u64, 50, 180, 360] {
                 let at = SimTime::from_days(day);
                 let a = linear.top_k_diverse(&q, at, &cfg);
                 let b = HistoryView::top_k_diverse(&snap, &q, at, &cfg);
+                assert_eq!(a, linear_top_k_diverse(linear.entries(), &q, at, &cfg));
                 assert_eq!(a, b, "query {q:?} at day {day}");
             }
         }
     }
 
     #[test]
+    fn out_of_order_inserts_split_chunks_and_stay_sorted() {
+        let idx = ShardedHistoricalIndex::new(1, 2);
+        let days = [50u64, 10, 30, 30, 90, 0, 70, 20, 60, 40];
+        for (i, &day) in days.iter().enumerate() {
+            idx.insert(entry(i, &format!("Cat{i}"), day, vec![0.0]), SimTime::EPOCH);
+        }
+        let guard = idx.lock_shard(0);
+        let keys: Vec<(SimTime, u64)> = guard.working.iter().map(Stored::key).collect();
+        assert!(keys.windows(2).all(|w| w[0] < w[1]), "{keys:?}");
+        assert!(guard
+            .working
+            .chunks
+            .iter()
+            .all(|c| (1..=2).contains(&c.len())));
+        assert_eq!(guard.working.len, days.len());
+    }
+
+    #[test]
     fn checkpoint_restore_round_trips_queries_and_epoch() {
-        let mut online = OnlineHistoricalIndex::new(4);
+        let online = ShardedHistoricalIndex::new(1, 4);
         for i in 0..25usize {
             online.insert(
                 entry(
@@ -1450,19 +970,15 @@ mod tests {
                 SimTime::from_days((i as u64 * 3) % 100),
             );
             if i % 5 == 4 {
-                online.publish();
+                online.publish(0);
             }
         }
         let ckpt = online.checkpoint();
         assert_eq!(ckpt.entries.len(), online.len());
-        let restored = OnlineHistoricalIndex::restore(&ckpt);
+        let restored = ShardedHistoricalIndex::restore(&ckpt, 1);
         assert_eq!(restored.len(), online.len());
-        assert_eq!(restored.epoch(), online.epoch());
-        let cfg = RetrievalConfig {
-            k: 4,
-            alpha: 0.3,
-            ..RetrievalConfig::default()
-        };
+        assert_eq!(restored.epoch(0), online.epoch(0));
+        let cfg = RetrievalConfig { k: 4, alpha: 0.3 };
         let (a, b) = (online.snapshot(), restored.snapshot());
         for day in [0u64, 40, 90, 300] {
             let at = SimTime::from_days(day);
@@ -1471,59 +987,24 @@ mod tests {
                 HistoryView::top_k_diverse(&b, &[1.0, 2.0], at, &cfg),
                 "restored index must answer identically at day {day}"
             );
-            assert_eq!(a.visible_len(at), b.visible_len(at));
         }
-        // The checkpoint survives a serde round trip (WAL requirement).
-        let json = serde_json::to_string(&ckpt).expect("serializable");
-        let back: EpochCheckpoint = serde_json::from_str(&json).expect("parseable");
-        assert_eq!(back, ckpt);
-    }
-
-    #[test]
-    fn compaction_interval_folds_epochs_and_counts() {
-        let mut online = OnlineHistoricalIndex::new(2);
-        online.set_compaction_interval(3);
-        for i in 0..18usize {
-            online.insert(
-                entry(i, &format!("Cat{}", i % 4), i as u64, vec![i as f32 * 0.5]),
-                SimTime::EPOCH,
-            );
-            online.publish();
-        }
-        assert_eq!(online.compactions(), 6, "every third publish compacts");
-        let snap = online.snapshot();
-        assert_eq!(snap.len(), 18);
-        let cfg = RetrievalConfig {
-            k: 4,
-            alpha: 0.0,
-            ..RetrievalConfig::default()
-        };
-        let hits = HistoryView::top_k_diverse(&snap, &[0.0], SimTime::from_days(1), &cfg);
-        assert_eq!(hits.len(), 4);
-        assert_eq!(hits[0].entry.id, 0);
     }
 
     #[test]
     fn online_insert_respects_visibility_and_epochs() {
-        let mut online = OnlineHistoricalIndex::new(8);
+        let online = ShardedHistoricalIndex::new(1, 8);
         online.insert(entry(0, "A", 10, vec![0.0]), SimTime::EPOCH);
         // Not yet published: snapshots are empty.
         assert!(online.snapshot().is_empty());
-        online.publish();
+        assert_eq!(online.publish(0), 1);
         let first_epoch = online.snapshot();
         // Resolved on day 50: invisible to queries before that.
         online.insert(entry(1, "B", 50, vec![0.0]), SimTime::from_days(50));
-        online.publish();
+        assert_eq!(online.publish(0), 2);
         assert_eq!(first_epoch.len(), 1, "sealed epoch must not move");
         let snap = online.snapshot();
         assert_eq!(snap.len(), 2);
-        assert_eq!(snap.visible_len(SimTime::from_days(20)), 1);
-        assert_eq!(snap.visible_len(SimTime::from_days(60)), 2);
-        let cfg = RetrievalConfig {
-            k: 2,
-            alpha: 0.0,
-            ..RetrievalConfig::default()
-        };
+        let cfg = RetrievalConfig { k: 2, alpha: 0.0 };
         let early = HistoryView::top_k_diverse(&snap, &[0.0], SimTime::from_days(20), &cfg);
         assert_eq!(early.len(), 1);
         assert_eq!(early[0].entry.category, "A");
@@ -1549,7 +1030,7 @@ mod tests {
 
     #[test]
     fn sharded_index_matches_unsharded_queries_and_routing() {
-        let mut single = OnlineHistoricalIndex::new(4);
+        let single = ShardedHistoricalIndex::new(1, 4);
         let sharded = ShardedHistoricalIndex::new(3, 4);
         for i in 0..40usize {
             let e = entry(
@@ -1567,21 +1048,15 @@ mod tests {
                 "insert reports the routed shard"
             );
         }
-        single.publish();
+        single.publish_all();
         sharded.publish_all();
         assert_eq!(sharded.len(), single.len());
         assert_eq!(sharded.shard_count(), 3);
         assert_eq!(sharded.poison_recoveries(), 0);
         let (a, b) = (single.snapshot(), sharded.snapshot());
-        assert_eq!(b.shard_views().len(), 3);
-        let cfg = RetrievalConfig {
-            k: 5,
-            alpha: 0.3,
-            ..RetrievalConfig::default()
-        };
+        let cfg = RetrievalConfig { k: 5, alpha: 0.3 };
         for day in [0u64, 60, 200, 400] {
             let at = SimTime::from_days(day);
-            assert_eq!(a.visible_len(at), b.visible_len(at));
             for q in [[0.0f32, 0.0], [3.0, 1.0], [4.5, 2.0]] {
                 assert_eq!(
                     HistoryView::top_k_diverse(&a, &q, at, &cfg),
@@ -1621,11 +1096,7 @@ mod tests {
         let json = serde_json::to_string(&ckpt).expect("serializable");
         let back: ShardedCheckpoint = serde_json::from_str(&json).expect("parseable");
         assert_eq!(back, ckpt);
-        let cfg = RetrievalConfig {
-            k: 4,
-            alpha: 0.3,
-            ..RetrievalConfig::default()
-        };
+        let cfg = RetrievalConfig { k: 4, alpha: 0.3 };
         let reference = sharded.snapshot();
         // Restore into the same, fewer and more shards: answers identical.
         for target in [1usize, 2, 4, 8] {
@@ -1654,20 +1125,16 @@ mod tests {
         // Identical embeddings and timestamps across categories: ranking
         // is decided purely by insertion order, which must survive
         // sharding even though the entries land in different shards.
-        let mut single = OnlineHistoricalIndex::new(2);
+        let single = ShardedHistoricalIndex::new(1, 2);
         let sharded = ShardedHistoricalIndex::new(8, 2);
         for i in 0..12usize {
             let e = entry(100 - i, &format!("Cat{i}"), 10, vec![1.0, 1.0]);
             single.insert(e.clone(), SimTime::EPOCH);
             sharded.insert(e, SimTime::EPOCH);
         }
-        single.publish();
+        single.publish_all();
         sharded.publish_all();
-        let cfg = RetrievalConfig {
-            k: 6,
-            alpha: 0.0,
-            ..RetrievalConfig::default()
-        };
+        let cfg = RetrievalConfig { k: 6, alpha: 0.0 };
         let at = SimTime::from_days(10);
         let (snap_a, snap_b) = (single.snapshot(), sharded.snapshot());
         let a = HistoryView::top_k_diverse(&snap_a, &[1.0, 1.0], at, &cfg);
@@ -1677,200 +1144,25 @@ mod tests {
         let ids: Vec<usize> = b.iter().map(|n| n.entry.id).collect();
         assert_eq!(ids, vec![100, 99, 98, 97, 96, 95]);
     }
-
-    /// A deterministic little incident cloud shared by the backend tests:
-    /// duplicate embeddings and timestamps to stress tie-breaks.
-    fn backend_cloud(n: usize) -> Vec<HistoricalEntry> {
-        (0..n)
-            .map(|i| {
-                entry(
-                    i,
-                    &format!("Cat{}", i % 7),
-                    (i as u64 * 13) % 300,
-                    vec![(i % 5) as f32, (i % 3) as f32, (i % 2) as f32],
-                )
-            })
-            .collect()
-    }
-
-    #[test]
-    fn saturated_hnsw_answers_byte_identical_to_exact() {
-        let entries = backend_cloud(60);
-        let exact = OnlineHistoricalIndex::warm(&entries, 4);
-        // ef_search far above the corpus size: the graph saturates and
-        // proposes every entry, so the exact re-rank sees the full set.
-        let hnsw = OnlineHistoricalIndex::warm_with(
-            &entries,
-            4,
-            RetrievalBackend::Hnsw {
-                m: 4,
-                ef_construction: 16,
-                ef_search: 1_000_000,
-            },
-        );
-        let (a, b) = (exact.snapshot(), hnsw.snapshot());
-        for day in [0u64, 50, 150, 299] {
-            let at = SimTime::from_days(day);
-            for k in [1usize, 3, 7] {
-                let cfg_a = RetrievalConfig {
-                    k,
-                    alpha: 0.3,
-                    ..RetrievalConfig::default()
-                };
-                let cfg_b = RetrievalConfig {
-                    k,
-                    alpha: 0.3,
-                    backend: RetrievalBackend::Hnsw {
-                        m: 4,
-                        ef_construction: 16,
-                        ef_search: 1_000_000,
-                    },
-                };
-                assert_eq!(
-                    HistoryView::top_k_diverse(&a, &[1.0, 1.0, 0.0], at, &cfg_a),
-                    HistoryView::top_k_diverse(&b, &[1.0, 1.0, 0.0], at, &cfg_b),
-                    "day {day} k {k}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn backend_kind_mismatch_falls_back_to_exact_scan() {
-        let entries = backend_cloud(40);
-        let hnsw = OnlineHistoricalIndex::warm_with(&entries, 4, RetrievalBackend::hnsw());
-        let snap = hnsw.snapshot();
-        let at = SimTime::from_days(100);
-        // Query config says Ivf but the plane holds an HNSW graph: the
-        // snapshot must ignore the graph and run the exact scan, which
-        // is trivially identical to a plain exact index.
-        let exact_snap = OnlineHistoricalIndex::warm(&entries, 4).snapshot();
-        let cfg_ivf = RetrievalConfig {
-            k: 5,
-            alpha: 0.3,
-            backend: RetrievalBackend::ivf(),
-        };
-        let cfg_exact = RetrievalConfig {
-            k: 5,
-            alpha: 0.3,
-            ..RetrievalConfig::default()
-        };
-        assert_eq!(
-            HistoryView::top_k_diverse(&snap, &[0.5, 0.5, 0.5], at, &cfg_ivf),
-            HistoryView::top_k_diverse(&exact_snap, &[0.5, 0.5, 0.5], at, &cfg_exact),
-        );
-    }
-
-    #[test]
-    fn ivf_backend_stages_until_trained_then_answers_saturated() {
-        // ncells 2 → quantizer trains after 2 × IVF_TRAIN_FACTOR inserts;
-        // nprobe ≥ cell count → every probe saturates (full recall).
-        let backend = RetrievalBackend::Ivf {
-            ncells: 2,
-            nprobe: 64,
-        };
-        let entries = backend_cloud(50);
-        let exact = OnlineHistoricalIndex::warm(&entries, 4);
-        let ivf = OnlineHistoricalIndex::warm_with(&entries, 4, backend);
-        let (a, b) = (exact.snapshot(), ivf.snapshot());
-        let cfg_a = RetrievalConfig {
-            k: 5,
-            alpha: 0.3,
-            ..RetrievalConfig::default()
-        };
-        let cfg_b = RetrievalConfig {
-            k: 5,
-            alpha: 0.3,
-            backend,
-        };
-        for day in [0u64, 120, 299] {
-            let at = SimTime::from_days(day);
-            assert_eq!(
-                HistoryView::top_k_diverse(&a, &[2.0, 1.0, 1.0], at, &cfg_a),
-                HistoryView::top_k_diverse(&b, &[2.0, 1.0, 1.0], at, &cfg_b),
-                "day {day}"
-            );
-        }
-        // Below the training threshold the quantizer is still staging:
-        // candidates() yields None and the exact scan answers.
-        let few = OnlineHistoricalIndex::warm_with(&entries[..8], 4, backend);
-        let few_exact = OnlineHistoricalIndex::warm(&entries[..8], 4);
-        assert_eq!(
-            HistoryView::top_k_diverse(
-                &few.snapshot(),
-                &[0.0, 0.0, 0.0],
-                SimTime::from_days(50),
-                &cfg_b
-            ),
-            HistoryView::top_k_diverse(
-                &few_exact.snapshot(),
-                &[0.0, 0.0, 0.0],
-                SimTime::from_days(50),
-                &cfg_a
-            ),
-        );
-    }
-
-    #[test]
-    fn index_stats_reports_ann_footprint() {
-        let entries = backend_cloud(40);
-        let exact = OnlineHistoricalIndex::warm(&entries, 4);
-        let stats = exact.index_stats();
-        assert_eq!(stats.vectors, 40);
-        assert_eq!(stats.dim, 3);
-        assert!(stats.cells > 0);
-        assert_eq!(stats.layers, 0, "exact backend has no graph layers");
-        assert!(stats.bytes > 0);
-        let hnsw = OnlineHistoricalIndex::warm_with(&entries, 4, RetrievalBackend::hnsw());
-        let hs = hnsw.index_stats();
-        // Bucketed vectors + graph vectors are both counted.
-        assert_eq!(hs.vectors, 80);
-        assert!(hs.layers >= 1, "graph contributes at least the base layer");
-        assert!(hs.edges > 0);
-        assert!(hs.bytes > stats.bytes);
-        // Sharded aggregation sums across shards.
-        let sharded = ShardedHistoricalIndex::warm_with(&entries, 3, 4, RetrievalBackend::hnsw());
-        let ss = sharded.index_stats();
-        assert_eq!(ss.vectors, 80);
-        assert_eq!(ss.dim, 3);
-    }
-
-    #[test]
-    fn restore_with_backend_reproduces_answers_and_stats() {
-        let backend = RetrievalBackend::Hnsw {
-            m: 4,
-            ef_construction: 16,
-            ef_search: 8,
-        };
-        let sharded = ShardedHistoricalIndex::warm_with(&backend_cloud(45), 3, 4, backend);
-        let ckpt = sharded.checkpoint();
-        let cfg = RetrievalConfig {
-            k: 4,
-            alpha: 0.3,
-            backend,
-        };
-        let reference = sharded.snapshot();
-        // The checkpoint stores no graph: the seeded rebuild reproduces
-        // it exactly, including across shard-count changes at the same
-        // shard count (per-shard graphs are functions of shard streams).
-        let restored = ShardedHistoricalIndex::restore_with(&ckpt, 3, backend);
-        assert_eq!(restored.index_stats(), sharded.index_stats());
-        let snap = restored.snapshot();
-        for day in [0u64, 75, 290] {
-            let at = SimTime::from_days(day);
-            assert_eq!(
-                HistoryView::top_k_diverse(&reference, &[1.0, 2.0, 0.0], at, &cfg),
-                HistoryView::top_k_diverse(&snap, &[1.0, 2.0, 0.0], at, &cfg),
-                "day {day}"
-            );
-        }
-    }
 }
 
 #[cfg(test)]
 mod proptests {
     use super::*;
     use proptest::prelude::*;
+    use rcacopilot_telemetry::time::SimDuration;
+
+    /// Entries from `(day, category, x, y)` specs on a small integer
+    /// grid: plenty of exact distance and time ties.
+    fn grid_entry(i: usize, day: u64, cat: usize, x: i32, y: i32) -> HistoricalEntry {
+        HistoricalEntry {
+            id: i,
+            category: format!("Cat{cat}"),
+            summary: String::new(),
+            at: SimTime::from_days(day),
+            embedding: vec![x as f32, y as f32],
+        }
+    }
 
     proptest! {
         #[test]
@@ -1906,7 +1198,7 @@ mod proptests {
                     embedding: vec![(i % 5) as f32, (i % 3) as f32],
                 });
             }
-            let hits = idx.top_k_diverse(&[0.0, 0.0], SimTime::from_days(180), &RetrievalConfig { k, alpha: 0.3, ..RetrievalConfig::default() });
+            let hits = idx.top_k_diverse(&[0.0, 0.0], SimTime::from_days(180), &RetrievalConfig { k, alpha: 0.3 });
             prop_assert!(hits.len() <= k);
             for w in hits.windows(2) {
                 prop_assert!(w[0].similarity + 1e-12 >= w[1].similarity);
@@ -1918,97 +1210,42 @@ mod proptests {
             prop_assert_eq!(cats.len(), before, "duplicate categories in demos");
         }
 
-        /// Epoch compaction is invisible to queries: an index that
-        /// compacts on a short interval answers byte-identically to one
-        /// that never compacts, for arbitrary entry clouds (duplicate
-        /// embeddings stress the insertion-order tie-break), publish
-        /// cadences, visibility horizons and query times.
+        /// The time-outward scan of the frozen index returns *exactly*
+        /// the linear reference's answer — same entries, same order, same
+        /// similarity bits — for arbitrary entry clouds in arbitrary time
+        /// order, duplicate embeddings and times (tie-break stress), decay
+        /// rates and query times, including queries before, inside and
+        /// after the history.
         #[test]
-        fn compaction_never_changes_query_results(
-            k in 1usize..8,
-            alpha in 0.0f64..2.0,
-            max_cell in 1usize..8,
-            compact_every in 1usize..4,
-            publish_every in 1usize..5,
-            query_day in 0u64..364,
+        fn frozen_scan_equals_linear_reference(
+            k in 0usize..8,
+            alpha in proptest::sample::select(vec![0.0f64, 0.02, 0.3, 1.7, 40.0]),
+            query_day in 0u64..420,
             specs in proptest::collection::vec(
-                (0u64..364, 0usize..6, 0i32..4, 0i32..4, 0u64..200), 1..40)
+                (0u64..364, 0usize..6, 0i32..4, 0i32..4), 0..50)
         ) {
-            let mut plain = OnlineHistoricalIndex::new(max_cell);
-            let mut compacting = OnlineHistoricalIndex::new(max_cell);
-            compacting.set_compaction_interval(compact_every);
-            for (i, &(day, cat, x, y, vis)) in specs.iter().enumerate() {
-                let e = HistoricalEntry {
-                    id: i,
-                    category: format!("Cat{cat}"),
-                    summary: String::new(),
-                    at: SimTime::from_days(day),
-                    embedding: vec![x as f32, y as f32],
-                };
-                let visible = SimTime::from_days(vis);
-                plain.insert(e.clone(), visible);
-                compacting.insert(e, visible);
-                if (i + 1) % publish_every == 0 {
-                    plain.publish();
-                    compacting.publish();
-                }
+            let mut idx = HistoricalIndex::new();
+            for (i, &(day, cat, x, y)) in specs.iter().enumerate() {
+                idx.add(grid_entry(i, day, cat, x, y));
             }
-            plain.publish();
-            compacting.publish();
-            let cfg = RetrievalConfig { k, alpha, ..RetrievalConfig::default() };
+            let cfg = RetrievalConfig { k, alpha };
             let at = SimTime::from_days(query_day);
-            let (a, b) = (plain.snapshot(), compacting.snapshot());
             for q in [[0.0f32, 0.0], [1.5, 2.5], [3.0, 0.0]] {
                 prop_assert_eq!(
-                    HistoryView::top_k_diverse(&a, &q, at, &cfg),
-                    HistoryView::top_k_diverse(&b, &q, at, &cfg)
+                    idx.top_k_diverse(&q, at, &cfg),
+                    linear_top_k_diverse(idx.entries(), &q, at, &cfg)
                 );
             }
         }
 
-        /// The bound-pruned online snapshot must return *exactly* the
-        /// linear scan's answer — same entries, same order, same
-        /// similarities — for arbitrary entry clouds, duplicate
-        /// embeddings (tie-break stress) and query times.
+        /// The online index, at any shard count and chunk size, returns
+        /// exactly the linear reference's answer over the entries visible
+        /// at the query time, in insertion order — whatever the publish
+        /// cadence, visibility horizons, decay rate and query time. This
+        /// pins the chunked time order, the visibility filter, the
+        /// floored cross-shard merge and the global-sequence tie-break.
         #[test]
-        fn online_snapshot_equals_linear_scan(
-            k in 1usize..8,
-            alpha in 0.0f64..2.0,
-            max_cell in 1usize..10,
-            query_day in 0u64..364,
-            specs in proptest::collection::vec(
-                (0u64..364, 0usize..6, 0i32..4, 0i32..4), 1..50)
-        ) {
-            let mut linear = HistoricalIndex::new();
-            for (i, &(day, cat, x, y)) in specs.iter().enumerate() {
-                linear.add(HistoricalEntry {
-                    id: i,
-                    category: format!("Cat{cat}"),
-                    summary: String::new(),
-                    at: SimTime::from_days(day),
-                    // Small integer grid: plenty of exact ties.
-                    embedding: vec![x as f32, y as f32],
-                });
-            }
-            let online = OnlineHistoricalIndex::warm(linear.entries(), max_cell);
-            let snap = online.snapshot();
-            let cfg = RetrievalConfig { k, alpha, ..RetrievalConfig::default() };
-            let at = SimTime::from_days(query_day);
-            for q in [[0.0f32, 0.0], [1.5, 2.5], [3.0, 0.0]] {
-                let a = linear.top_k_diverse(&q, at, &cfg);
-                let b = HistoryView::top_k_diverse(&snap, &q, at, &cfg);
-                prop_assert_eq!(a, b);
-            }
-        }
-
-        /// Sharding is invisible to queries: for any shard count, entry
-        /// cloud (duplicate embeddings stress the global-sequence
-        /// tie-break), visibility horizon, decay rate and query time, the
-        /// cross-shard bounded merge answers byte-identically — same
-        /// entries, same order, same similarities — to one unsharded
-        /// index over the same insertion sequence.
-        #[test]
-        fn sharded_equals_unsharded(
+        fn online_scan_equals_linear_reference_over_visible_entries(
             k in 1usize..8,
             alpha in 0.0f64..2.0,
             max_cell in 1usize..8,
@@ -2018,139 +1255,70 @@ mod proptests {
             specs in proptest::collection::vec(
                 (0u64..364, 0usize..6, 0i32..4, 0i32..4, 0u64..200), 1..50)
         ) {
-            let mut single = OnlineHistoricalIndex::new(max_cell);
-            let sharded = ShardedHistoricalIndex::new(shards, max_cell);
+            let idx = ShardedHistoricalIndex::new(shards, max_cell);
             for (i, &(day, cat, x, y, vis)) in specs.iter().enumerate() {
-                let e = HistoricalEntry {
-                    id: i,
-                    category: format!("Cat{cat}"),
-                    summary: String::new(),
-                    at: SimTime::from_days(day),
-                    // Small integer grid: plenty of exact ties.
-                    embedding: vec![x as f32, y as f32],
-                };
-                let visible = SimTime::from_days(vis);
-                single.insert(e.clone(), visible);
-                let s = sharded.insert(e, visible);
+                let s = idx.insert(grid_entry(i, day, cat, x, y), SimTime::from_days(vis));
                 if (i + 1) % publish_every == 0 {
-                    single.publish();
-                    sharded.publish(s);
+                    idx.publish(s);
                 }
             }
-            single.publish();
-            sharded.publish_all();
-            prop_assert_eq!(sharded.len(), single.len());
-            let cfg = RetrievalConfig { k, alpha, ..RetrievalConfig::default() };
+            idx.publish_all();
+            prop_assert_eq!(idx.len(), specs.len());
             let at = SimTime::from_days(query_day);
-            let (a, b) = (single.snapshot(), sharded.snapshot());
+            let visible: Vec<HistoricalEntry> = specs
+                .iter()
+                .enumerate()
+                .filter(|(_, s)| SimTime::from_days(s.4) <= at)
+                .map(|(i, &(day, cat, x, y, _))| grid_entry(i, day, cat, x, y))
+                .collect();
+            let cfg = RetrievalConfig { k, alpha };
+            let snap = idx.snapshot();
             for q in [[0.0f32, 0.0], [1.5, 2.5], [3.0, 0.0]] {
                 prop_assert_eq!(
-                    HistoryView::top_k_diverse(&a, &q, at, &cfg),
-                    HistoryView::top_k_diverse(&b, &q, at, &cfg),
-                    "{} shards, query {:?}", sharded.shard_count(), q
+                    HistoryView::top_k_diverse(&snap, &q, at, &cfg),
+                    linear_top_k_diverse(&visible, &q, at, &cfg),
+                    "{} shards, query {:?}", shards, q
                 );
             }
         }
 
-        /// The byte-identity contract of the ANN tier: at 100% candidate
-        /// recall (`ef_search` ≥ corpus size saturates the graph; `nprobe`
-        /// ≥ cell count saturates the quantizer) the HNSW and IVF
-        /// backends answer byte-identically — same entries, same order,
-        /// same f64 similarities — to the exact backend, for any shard
-        /// count, entry cloud (duplicate embeddings stress the
-        /// global-sequence tie-break), publish cadence, visibility
-        /// horizon, decay rate and query time.
+        /// Metamorphic properties of retrieval: shifting every timestamp
+        /// (entries and query) by one constant, or appending a duplicate
+        /// of an indexed entry, leaves the answer's ids and similarity
+        /// bits unchanged — only gaps and distances count, and a later
+        /// duplicate loses every tie to its original.
         #[test]
-        fn saturated_ann_backends_equal_exact(
+        fn retrieval_ignores_time_shifts_and_duplicates(
             k in 1usize..8,
             alpha in 0.0f64..2.0,
-            max_cell in 1usize..8,
-            shards in 1usize..5,
-            m in 2usize..8,
-            publish_every in 1usize..5,
+            shift_secs in 0u64..40_000_000,
+            dup in 0usize..50,
             query_day in 0u64..364,
             specs in proptest::collection::vec(
-                (0u64..364, 0usize..6, 0i32..4, 0i32..4, 0u64..200), 1..40)
+                (0u64..364, 0usize..6, 0i32..4, 0i32..4), 1..50)
         ) {
-            let hnsw = RetrievalBackend::Hnsw {
-                m, ef_construction: 8, ef_search: usize::MAX,
+            let answer = |idx: &HistoricalIndex, at: SimTime| -> Vec<(usize, u64)> {
+                idx.top_k_diverse(&[1.0, 2.0], at, &RetrievalConfig { k, alpha })
+                    .iter()
+                    .map(|n| (n.entry.id, n.similarity.to_bits()))
+                    .collect()
             };
-            let ivf = RetrievalBackend::Ivf { ncells: 2, nprobe: usize::MAX };
-            let exact_idx = ShardedHistoricalIndex::new(shards, max_cell);
-            let hnsw_idx = ShardedHistoricalIndex::new_with(shards, max_cell, hnsw);
-            let ivf_idx = ShardedHistoricalIndex::new_with(shards, max_cell, ivf);
-            for (i, &(day, cat, x, y, vis)) in specs.iter().enumerate() {
-                let e = HistoricalEntry {
-                    id: i,
-                    category: format!("Cat{cat}"),
-                    summary: String::new(),
-                    at: SimTime::from_days(day),
-                    embedding: vec![x as f32, y as f32],
-                };
-                let visible = SimTime::from_days(vis);
-                exact_idx.insert(e.clone(), visible);
-                hnsw_idx.insert(e.clone(), visible);
-                ivf_idx.insert(e, visible);
-                if (i + 1) % publish_every == 0 {
-                    exact_idx.publish_all();
-                    hnsw_idx.publish_all();
-                    ivf_idx.publish_all();
-                }
+            let shift = SimDuration::from_secs(shift_secs);
+            let (mut base, mut shifted) = (HistoricalIndex::new(), HistoricalIndex::new());
+            for (i, &(day, cat, x, y)) in specs.iter().enumerate() {
+                let e = grid_entry(i, day, cat, x, y);
+                shifted.add(HistoricalEntry { at: e.at + shift, ..e.clone() });
+                base.add(e);
             }
-            exact_idx.publish_all();
-            hnsw_idx.publish_all();
-            ivf_idx.publish_all();
-            let cfg_exact = RetrievalConfig { k, alpha, ..RetrievalConfig::default() };
-            let cfg_hnsw = RetrievalConfig { k, alpha, backend: hnsw };
-            let cfg_ivf = RetrievalConfig { k, alpha, backend: ivf };
             let at = SimTime::from_days(query_day);
-            let (se, sh, si) =
-                (exact_idx.snapshot(), hnsw_idx.snapshot(), ivf_idx.snapshot());
-            for q in [[0.0f32, 0.0], [1.5, 2.5], [3.0, 0.0]] {
-                let want = HistoryView::top_k_diverse(&se, &q, at, &cfg_exact);
-                prop_assert_eq!(
-                    &want,
-                    &HistoryView::top_k_diverse(&sh, &q, at, &cfg_hnsw),
-                    "hnsw: {} shards, query {:?}", shards, q
-                );
-                prop_assert_eq!(
-                    &want,
-                    &HistoryView::top_k_diverse(&si, &q, at, &cfg_ivf),
-                    "ivf: {} shards, query {:?}", shards, q
-                );
-            }
-        }
-
-        /// Non-saturated HNSW retrieval is *deterministic*: two indexes
-        /// built from the same insertion stream with the same seed answer
-        /// identically at any `ef_search`, even when recall is partial.
-        #[test]
-        fn hnsw_retrieval_is_deterministic_at_any_ef(
-            ef in 1usize..16,
-            query_day in 0u64..364,
-            specs in proptest::collection::vec(
-                (0u64..364, 0usize..6, 0i32..4, 0i32..4), 1..40)
-        ) {
-            let backend = RetrievalBackend::Hnsw { m: 4, ef_construction: 8, ef_search: ef };
-            let entries: Vec<HistoricalEntry> = specs.iter().enumerate().map(
-                |(i, &(day, cat, x, y))| HistoricalEntry {
-                    id: i,
-                    category: format!("Cat{cat}"),
-                    summary: String::new(),
-                    at: SimTime::from_days(day),
-                    embedding: vec![x as f32, y as f32],
-                }).collect();
-            let a = OnlineHistoricalIndex::warm_with(&entries, 4, backend);
-            let b = OnlineHistoricalIndex::warm_with(&entries, 4, backend);
-            let cfg = RetrievalConfig { k: 5, alpha: 0.3, backend };
-            let at = SimTime::from_days(query_day);
-            let (sa, sb) = (a.snapshot(), b.snapshot());
-            for q in [[0.0f32, 0.0], [1.5, 2.5]] {
-                prop_assert_eq!(
-                    HistoryView::top_k_diverse(&sa, &q, at, &cfg),
-                    HistoryView::top_k_diverse(&sb, &q, at, &cfg)
-                );
-            }
+            let want = answer(&base, at);
+            prop_assert_eq!(&answer(&shifted, at + shift), &want);
+            let copy = HistoricalEntry {
+                id: usize::MAX,
+                ..base.entries()[dup % specs.len()].clone()
+            };
+            base.add(copy);
+            prop_assert_eq!(&answer(&base, at), &want);
         }
     }
 }

@@ -1,4 +1,4 @@
-//! FastText-style embeddings and nearest-neighbor search.
+//! FastText-style embeddings.
 //!
 //! The paper uses FastText both as RCACopilot's embedding model (§4.2.1,
 //! chosen for efficiency and insensitivity to input length) and as a
@@ -8,24 +8,15 @@
 //! - a hashed bag of character n-grams + word (bi)grams as input features
 //!   ([`features`]),
 //! - an averaged input-embedding layer and a linear softmax output layer
-//!   trained with SGD ([`model::FastTextModel`]),
+//!   trained with SGD ([`model::FastTextModel`]), and
 //! - the document embedding = the averaged input embedding (the hidden
-//!   state), which feeds the retrieval stage, and
-//! - nearest-neighbor indexes over embeddings ([`index`]): exact
-//!   brute-force, the online bucketed/epoch indexes, and an IVF (k-means
-//!   coarse quantizer) accelerator, and
-//! - a deterministic seeded HNSW graph ([`ann`]) for approximate
-//!   candidate generation over million-incident corpora.
+//!   state), which feeds the retrieval stage (`rcacopilot_core::retrieval`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod ann;
 pub mod features;
-pub mod index;
 pub mod model;
 
-pub use ann::{HnswConfig, HnswIndex};
 pub use features::FeatureExtractor;
-pub use index::{BruteForceIndex, BucketedIndex, EpochIndex, IndexStats, IvfIndex};
 pub use model::{FastTextConfig, FastTextModel};

@@ -19,10 +19,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// keeps evolving with the engine; this explicit version lets the two
 /// formats drift independently without silently breaking consumers.
 /// History: 1 = implicit pre-PR-9 shape; 2 = adds `schema_version`,
-/// `clock`, and the real-mode `wall` section.
+/// `clock`, and the real-mode `wall` section; 3 = drops
+/// `online_index_stats` (the index has no candidate structure left to
+/// report; `online_index_len` stays).
 ///
 /// [`ServeOutcome::report`]: crate::engine::ServeOutcome::report
-pub const REPORT_SCHEMA_VERSION: u32 = 2;
+pub const REPORT_SCHEMA_VERSION: u32 = 3;
 
 /// Robustness counters for one engine run.
 ///
@@ -161,21 +163,6 @@ impl FaultCounters {
             }
         }
     }
-}
-
-/// JSON summary of a retrieval candidate-structure footprint
-/// ([`rcacopilot_core::IndexStats`]), for the engine report and the
-/// bench JSON: footprint regressions (graph edges, resident bytes) show
-/// up in tracked artifacts instead of only in allocator noise.
-pub fn index_stats_json(stats: &rcacopilot_core::IndexStats) -> Value {
-    json!({
-        "vectors": stats.vectors,
-        "dim": stats.dim,
-        "cells": stats.cells,
-        "layers": stats.layers,
-        "edges": stats.edges,
-        "bytes": stats.bytes,
-    })
 }
 
 /// A histogram of virtual durations in seconds.

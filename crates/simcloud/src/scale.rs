@@ -1,13 +1,13 @@
 //! Corpus scaling: stretching the one-year, 653-incident campaign to
 //! million-incident retrieval corpora.
 //!
-//! The ANN tier (`rcacopilot_embed::ann`) only earns its complexity at
-//! production scale, but the paper's dataset is one year of one service.
-//! This module tiles the catalog's *measured structure* — the long-tail
-//! category distribution of Figure 3 and the burst recurrence of
-//! Figure 2 — across a multi-year horizon and a widened category
-//! universe, producing a lightweight corpus (category + timestamp +
-//! embedding, no telemetry snapshots) sized 100k–1M for index benchmarks:
+//! Retrieval cost only matters at production scale, but the paper's
+//! dataset is one year of one service. This module tiles the catalog's
+//! *measured structure* — the long-tail category distribution of
+//! Figure 3 and the burst recurrence of Figure 2 — across a multi-year
+//! horizon and a widened category universe, producing a lightweight
+//! corpus (category + timestamp + embedding, no telemetry snapshots)
+//! sized 100k–1M for retrieval benchmarks:
 //!
 //! - **Long tail**: each *category universe* replays the standard
 //!   catalog's per-category occurrence counts (geometric tail fit), so

@@ -39,11 +39,7 @@ fn retrieval_feeds_figure9_prompt_and_cot_selects() {
     let neighbors = index.top_k_diverse(
         &[0.0, 0.0],
         SimTime::from_days(100),
-        &RetrievalConfig {
-            k: 3,
-            alpha: 0.3,
-            ..RetrievalConfig::default()
-        },
+        &RetrievalConfig { k: 3, alpha: 0.3 },
     );
     assert_eq!(neighbors[0].entry.category, "HubPortExhaustion");
 

@@ -217,7 +217,6 @@ fn journaling_is_free_when_nothing_crashes() {
         index_mode: IndexMode::Online,
         admission: AdmissionConfig::unbounded(),
         checkpoint_every: 4,
-        compact_epochs: 2,
         ..EngineConfig::default()
     };
     let engine = ServeEngine::new(copilot, config.clone());
@@ -238,7 +237,7 @@ fn journaling_is_free_when_nothing_crashes() {
 /// journal serialized to bytes, process gone — resumes from the reloaded
 /// journal with a prediction log byte-identical to the uninterrupted
 /// run, for 1 and 4 workers, at several crash points, with faults and
-/// checkpoint folding and epoch compaction all enabled.
+/// checkpoint folding enabled.
 #[test]
 fn crash_at_virtual_time_recovers_byte_identically() {
     let (copilot, test) = trained();
@@ -258,7 +257,6 @@ fn crash_at_virtual_time_recovers_byte_identically() {
         admission: AdmissionConfig::unbounded(),
         faults,
         checkpoint_every: 3,
-        compact_epochs: 2,
         ..EngineConfig::default()
     };
 

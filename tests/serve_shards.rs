@@ -164,7 +164,6 @@ fn crash_recovery_replays_shard_tagged_records_across_shard_counts() {
             ..WorkerFaultConfig::default()
         },
         checkpoint_every: 3,
-        compact_epochs: 2,
         shards: 4,
         ..EngineConfig::default()
     };
