@@ -24,30 +24,15 @@
 //! `BENCH_plan_cache.json` at the repository root (tracked). `--smoke`
 //! runs a small campaign for CI.
 
-use rcacopilot_bench::{banner, write_root_results, SPLIT_SEED, TRAIN_FRAC};
+use rcacopilot_bench::{banner, smoke_dataset, write_root_results, SPLIT_SEED, TRAIN_FRAC};
 use rcacopilot_core::collection::CollectionStage;
 use rcacopilot_core::memo::{ExactMemo, MemoPolicy, ShingleMemo};
 use rcacopilot_core::plan::{memoized_summary, PlanCaches};
 use rcacopilot_llm::summarize::Summarizer;
 use rcacopilot_serve::{stream, ArrivalModel, StreamConfig};
-use rcacopilot_simcloud::noise::NoiseProfile;
-use rcacopilot_simcloud::{generate_dataset, CampaignConfig, Incident, Topology};
+use rcacopilot_simcloud::Incident;
 use rcacopilot_textkit::mask_entities;
 use std::collections::HashMap;
-
-fn smoke_dataset() -> rcacopilot_simcloud::IncidentDataset {
-    generate_dataset(&CampaignConfig {
-        seed: 5,
-        topology: Topology::new(2, 4, 2, 2),
-        noise: NoiseProfile {
-            routine_logs: 2,
-            herring_logs: 1,
-            healthy_traces: 1,
-            unrelated_failure: false,
-            bystander_anomalies: 1,
-        },
-    })
-}
 
 /// The "same fault, different host" view of a diagnostic text: rotates
 /// the digits of every token the entity mask would hide (machine names,

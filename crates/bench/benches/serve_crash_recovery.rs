@@ -16,33 +16,19 @@
 //! Results go to `BENCH_serve_faults.json` at the repository root.
 //! `--smoke` shrinks the campaign for CI.
 
-use rcacopilot_bench::{banner, write_root_results, SPLIT_SEED, TRAIN_FRAC};
+use rcacopilot_bench::{
+    banner, smoke_copilot_config, smoke_dataset, write_root_results, SPLIT_SEED, TRAIN_FRAC,
+};
 use rcacopilot_core::eval::PreparedDataset;
 use rcacopilot_core::pipeline::{RcaCopilot, RcaCopilotConfig};
 use rcacopilot_core::ContextSpec;
-use rcacopilot_embed::{FastTextConfig, FeatureExtractor};
 use rcacopilot_serve::{
     AdmissionConfig, ArrivalModel, EngineConfig, EventOutcome, IndexMode, ServeEngine,
     StreamConfig, WorkerFaultConfig, WriteAheadLog,
 };
-use rcacopilot_simcloud::noise::NoiseProfile;
-use rcacopilot_simcloud::{generate_dataset, CampaignConfig, Incident, Topology};
+use rcacopilot_simcloud::Incident;
 use rcacopilot_telemetry::SimTime;
 use serde_json::Value;
-
-fn smoke_dataset() -> rcacopilot_simcloud::IncidentDataset {
-    generate_dataset(&CampaignConfig {
-        seed: 5,
-        topology: Topology::new(2, 4, 2, 2),
-        noise: NoiseProfile {
-            routine_logs: 2,
-            herring_logs: 1,
-            healthy_traces: 1,
-            unrelated_failure: false,
-            bystander_anomalies: 1,
-        },
-    })
-}
 
 /// Looks up a (possibly nested) field of a JSON report map.
 fn field<'a>(v: &'a Value, path: &[&str]) -> &'a Value {
@@ -84,19 +70,7 @@ fn main() {
     let prepared = PreparedDataset::prepare(&dataset, &split);
     let spec = ContextSpec::default();
     let copilot_config = if smoke {
-        RcaCopilotConfig {
-            embedding: FastTextConfig {
-                dim: 24,
-                epochs: 8,
-                lr: 0.4,
-                features: FeatureExtractor {
-                    buckets: 1 << 12,
-                    ..FeatureExtractor::default()
-                },
-                ..FastTextConfig::default()
-            },
-            ..RcaCopilotConfig::default()
-        }
+        smoke_copilot_config()
     } else {
         RcaCopilotConfig::default()
     };

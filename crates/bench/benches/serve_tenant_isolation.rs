@@ -19,34 +19,18 @@
 //! Results go to `BENCH_serve_tenants.json` at the repository root
 //! (tracked). `--smoke` runs a reduced matrix for CI.
 
-use rcacopilot_bench::{banner, write_root_results, SPLIT_SEED, TRAIN_FRAC};
+use rcacopilot_bench::{
+    banner, smoke_copilot_config, smoke_dataset, write_root_results, SPLIT_SEED, TRAIN_FRAC,
+};
 use rcacopilot_core::eval::PreparedDataset;
 use rcacopilot_core::pipeline::{RcaCopilot, RcaCopilotConfig};
 use rcacopilot_core::ContextSpec;
-use rcacopilot_embed::{FastTextConfig, FeatureExtractor};
 use rcacopilot_serve::{
     simulate_drr, AdmissionConfig, BreakerConfig, DrrJob, EngineConfig, EventOutcome, IndexMode,
     MultiTenantConfig, MultiTenantEngine, ServeEngine,
 };
-use rcacopilot_simcloud::noise::NoiseProfile;
-use rcacopilot_simcloud::{
-    generate_dataset, partition_tenants, CampaignConfig, Incident, TenantStormPlan, Topology,
-};
+use rcacopilot_simcloud::{partition_tenants, Incident, TenantStormPlan};
 use rcacopilot_telemetry::ids::TenantId;
-
-fn smoke_dataset() -> rcacopilot_simcloud::IncidentDataset {
-    generate_dataset(&CampaignConfig {
-        seed: 5,
-        topology: Topology::new(2, 4, 2, 2),
-        noise: NoiseProfile {
-            routine_logs: 2,
-            herring_logs: 1,
-            healthy_traces: 1,
-            unrelated_failure: false,
-            bystander_anomalies: 1,
-        },
-    })
-}
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
@@ -64,19 +48,7 @@ fn main() {
     let split = dataset.split(SPLIT_SEED, TRAIN_FRAC);
     let prepared = PreparedDataset::prepare(&dataset, &split);
     let copilot_config = if smoke {
-        RcaCopilotConfig {
-            embedding: FastTextConfig {
-                dim: 24,
-                epochs: 8,
-                lr: 0.4,
-                features: FeatureExtractor {
-                    buckets: 1 << 12,
-                    ..FeatureExtractor::default()
-                },
-                ..FastTextConfig::default()
-            },
-            ..RcaCopilotConfig::default()
-        }
+        smoke_copilot_config()
     } else {
         RcaCopilotConfig::default()
     };

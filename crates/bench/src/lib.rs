@@ -10,7 +10,10 @@
 #![warn(missing_docs)]
 
 use rcacopilot_core::eval::PreparedDataset;
-use rcacopilot_simcloud::{generate_dataset, CampaignConfig, IncidentDataset};
+use rcacopilot_core::pipeline::RcaCopilotConfig;
+use rcacopilot_embed::{FastTextConfig, FeatureExtractor};
+use rcacopilot_simcloud::noise::NoiseProfile;
+use rcacopilot_simcloud::{generate_dataset, CampaignConfig, IncidentDataset, Topology};
 use std::path::PathBuf;
 
 /// Campaign seed used by every experiment (reported in EXPERIMENTS.md).
@@ -26,6 +29,40 @@ pub fn standard_dataset() -> IncidentDataset {
         seed: CAMPAIGN_SEED,
         ..CampaignConfig::default()
     })
+}
+
+/// Generates the small campaign that `--smoke` runs use: a 2-forest
+/// topology with light noise.
+pub fn smoke_dataset() -> IncidentDataset {
+    generate_dataset(&CampaignConfig {
+        seed: 5,
+        topology: Topology::new(2, 4, 2, 2),
+        noise: NoiseProfile {
+            routine_logs: 2,
+            herring_logs: 1,
+            healthy_traces: 1,
+            unrelated_failure: false,
+            bystander_anomalies: 1,
+        },
+    })
+}
+
+/// The pipeline config that `--smoke` serving runs train: a 24-dim
+/// embedding over 4096 feature buckets, so training stays fast.
+pub fn smoke_copilot_config() -> RcaCopilotConfig {
+    RcaCopilotConfig {
+        embedding: FastTextConfig {
+            dim: 24,
+            epochs: 8,
+            lr: 0.4,
+            features: FeatureExtractor {
+                buckets: 1 << 12,
+                ..FeatureExtractor::default()
+            },
+            ..FastTextConfig::default()
+        },
+        ..RcaCopilotConfig::default()
+    }
 }
 
 /// Generates + collects + summarizes the standard dataset.
@@ -63,11 +100,11 @@ pub fn write_results(name: &str, value: &serde_json::Value) {
 /// Writes a JSON value to `<name>.json` at the repository root, or —
 /// for a smoke run — to `target/bench-results/<name>.json`.
 ///
-/// Unlike [`write_results`], root results are version-tracked: the
-/// serving benchmark commits its sweep as `BENCH_serve.json` so the
-/// numbers travel with the code instead of living in the ignored
-/// `target/` tree. A smoke run's reduced sizes are not results, so it
-/// never overwrites a tracked file.
+/// Unlike [`write_results`], root results are version-tracked: a bench
+/// such as `serve_crash_recovery` commits its sweep as
+/// `BENCH_serve_faults.json` so the numbers travel with the code instead
+/// of living in the ignored `target/` tree. A smoke run's reduced sizes
+/// are not results, so it never overwrites a tracked file.
 pub fn write_root_results(name: &str, value: &serde_json::Value, smoke: bool) {
     if smoke {
         write_results(name, value);

@@ -9,11 +9,11 @@
 use crate::plan::{PlanExecutor, SummarizeMode};
 use crate::report::OnCallReport;
 use crate::retrieval::HistoryView;
-use parking_lot::RwLock;
 use rcacopilot_simcloud::Incident;
 use rcacopilot_telemetry::SimTime;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::sync::{PoisonError, RwLock};
 
 /// One OCE verdict on a prediction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -54,7 +54,9 @@ impl CategoryFeedback {
     }
 }
 
-/// Thread-safe feedback store, aggregated per predicted category.
+/// Thread-safe feedback store, aggregated per predicted category. Every
+/// update is one counter bump, so a lock poisoned by a panicking holder
+/// is recovered, not propagated.
 #[derive(Debug, Default)]
 pub struct FeedbackStore {
     data: RwLock<BTreeMap<String, CategoryFeedback>>,
@@ -68,7 +70,7 @@ impl FeedbackStore {
 
     /// Records a verdict for a predicted category.
     pub fn record(&self, predicted_category: &str, verdict: Verdict) {
-        let mut data = self.data.write();
+        let mut data = self.data.write().unwrap_or_else(PoisonError::into_inner);
         let entry = data.entry(predicted_category.to_string()).or_default();
         match verdict {
             Verdict::Correct => entry.correct += 1,
@@ -79,12 +81,17 @@ impl FeedbackStore {
 
     /// Aggregate for one category.
     pub fn category(&self, category: &str) -> CategoryFeedback {
-        self.data.read().get(category).copied().unwrap_or_default()
+        self.data
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(category)
+            .copied()
+            .unwrap_or_default()
     }
 
     /// Overall satisfaction across all verdicts; `None` without data.
     pub fn overall_satisfaction(&self) -> Option<f64> {
-        let data = self.data.read();
+        let data = self.data.read().unwrap_or_else(PoisonError::into_inner);
         let mut good = 0usize;
         let mut total = 0usize;
         for f in data.values() {
@@ -104,6 +111,7 @@ impl FeedbackStore {
     pub fn needs_review(&self, threshold: f64, min_verdicts: usize) -> Vec<String> {
         self.data
             .read()
+            .unwrap_or_else(PoisonError::into_inner)
             .iter()
             .filter(|(_, f)| {
                 f.total() >= min_verdicts && f.satisfaction().is_some_and(|s| s < threshold)
@@ -114,7 +122,8 @@ impl FeedbackStore {
 
     /// Serializes all aggregates to JSON.
     pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(&*self.data.read()).expect("feedback serializes")
+        serde_json::to_string_pretty(&*self.data.read().unwrap_or_else(PoisonError::into_inner))
+            .expect("feedback serializes")
     }
 
     /// Restores a store from [`FeedbackStore::to_json`] output.

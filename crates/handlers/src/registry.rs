@@ -4,14 +4,16 @@
 //! versions as the system evolves, and old versions remain queryable
 //! ("we also maintain the versions of the handlers in the database",
 //! §4.1.1). This registry keeps every version in memory, guarded by a
-//! [`parking_lot::RwLock`] so the collection stage can serve concurrent
-//! incidents, and serializes to JSON for persistence.
+//! [`std::sync::RwLock`] so the collection stage can serve concurrent
+//! incidents, and serializes to JSON for persistence. Every update leaves
+//! the map valid, so a lock poisoned by a panicking holder is recovered,
+//! not propagated.
 
 use crate::handler::{Handler, HandlerError};
-use parking_lot::RwLock;
 use rcacopilot_telemetry::alert::AlertType;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::sync::{PoisonError, RwLock};
 
 /// Serializable snapshot of the registry contents.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
@@ -38,7 +40,7 @@ impl HandlerRegistry {
     /// with the next version number. Returns the assigned version.
     pub fn register(&self, mut handler: Handler) -> Result<u32, HandlerError> {
         handler.validate()?;
-        let mut data = self.data.write();
+        let mut data = self.data.write().unwrap_or_else(PoisonError::into_inner);
         let versions = data
             .handlers
             .entry(handler.alert_type.name().to_string())
@@ -53,6 +55,7 @@ impl HandlerRegistry {
     pub fn current(&self, alert_type: AlertType) -> Option<Handler> {
         self.data
             .read()
+            .unwrap_or_else(PoisonError::into_inner)
             .handlers
             .get(alert_type.name())
             .and_then(|v| v.last().cloned())
@@ -62,6 +65,7 @@ impl HandlerRegistry {
     pub fn version(&self, alert_type: AlertType, version: u32) -> Option<Handler> {
         self.data
             .read()
+            .unwrap_or_else(PoisonError::into_inner)
             .handlers
             .get(alert_type.name())
             .and_then(|v| v.get(version as usize).cloned())
@@ -71,6 +75,7 @@ impl HandlerRegistry {
     pub fn version_count(&self, alert_type: AlertType) -> usize {
         self.data
             .read()
+            .unwrap_or_else(PoisonError::into_inner)
             .handlers
             .get(alert_type.name())
             .map_or(0, Vec::len)
@@ -80,6 +85,7 @@ impl HandlerRegistry {
     pub fn alert_types(&self) -> Vec<AlertType> {
         self.data
             .read()
+            .unwrap_or_else(PoisonError::into_inner)
             .handlers
             .keys()
             .filter_map(|k| AlertType::parse(k))
@@ -88,12 +94,17 @@ impl HandlerRegistry {
 
     /// Total number of enabled (latest-version) handlers.
     pub fn enabled_count(&self) -> usize {
-        self.data.read().handlers.len()
+        self.data
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .handlers
+            .len()
     }
 
     /// Serializes the full registry (all versions) to JSON.
     pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(&*self.data.read()).expect("registry serializes")
+        serde_json::to_string_pretty(&*self.data.read().unwrap_or_else(PoisonError::into_inner))
+            .expect("registry serializes")
     }
 
     /// Restores a registry from [`HandlerRegistry::to_json`] output.

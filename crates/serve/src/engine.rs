@@ -40,9 +40,7 @@ use crate::stream::{self, StreamConfig, StreamEvent};
 use crate::supervisor::{
     lock_recovered, respawn_backoff, wait_recovered, AttemptLedger, InFlight, RetryQueue, Verdict,
 };
-use crate::vmetrics::{
-    simulate_pool, ExecStats, FaultCounters, VirtualHistogram, VirtualJob, REPORT_SCHEMA_VERSION,
-};
+use crate::vmetrics::{FaultCounters, VirtualHistogram, REPORT_SCHEMA_VERSION};
 use crate::wal::{Recovery, WalError, WalRecord, WriteAheadLog};
 use rcacopilot_core::memo::{ExactMemo, MemoPolicy};
 use rcacopilot_core::plan::{InferencePlan, PlanCaches, PlanExecutor, StageHook, SummarizeMode};
@@ -362,8 +360,6 @@ pub struct ServeOutcome {
     pub log: String,
     /// Events the stream planned in total.
     pub planned: usize,
-    /// Virtual-time execution statistics for the configured worker count.
-    pub exec: ExecStats,
     /// Full JSON report (stages, admission, caches, faults, queue
     /// depths), versioned by its `schema_version` field
     /// ([`REPORT_SCHEMA_VERSION`]). Cache hit/miss counters depend on
@@ -1350,33 +1346,21 @@ impl ServeEngine {
             VirtualHistogram::new(), // retrieve
             VirtualHistogram::new(), // predict
         ];
-        let mut jobs: Vec<VirtualJob> = Vec::new();
-        for (i, (e, c)) in events.iter().zip(costs).enumerate() {
-            if plan.dispositions[i] != Disposition::Shed && resolve[i].is_none() {
-                // Breaker-fast-failed: never executed, no pool work.
+        for (i, c) in costs.iter().enumerate() {
+            if resolve[i].is_none() {
+                // Shed or breaker-fast-failed: never executed.
                 continue;
             }
-            let service = match plan.dispositions[i] {
+            match plan.dispositions[i] {
                 Disposition::Shed => continue,
-                Disposition::Full => {
-                    stage_hists[1].record(c.summarize_secs);
-                    c.total()
-                }
-                Disposition::Degraded => {
-                    stage_hists[1].record(DEGRADED_SUMMARIZE_SECS);
-                    c.degraded_total()
-                }
-            };
+                Disposition::Full => stage_hists[1].record(c.summarize_secs),
+                Disposition::Degraded => stage_hists[1].record(DEGRADED_SUMMARIZE_SECS),
+            }
             stage_hists[0].record(c.collect_secs);
             stage_hists[2].record(c.embed_secs);
             stage_hists[3].record(c.retrieve_secs);
             stage_hists[4].record(c.predict_secs);
-            jobs.push(VirtualJob {
-                arrival_secs: e.at.as_secs(),
-                service_secs: service,
-            });
         }
-        let exec = simulate_pool(&jobs, self.config.workers.max(1));
         let (sum_hits, sum_misses) = caches.summary.stats();
         let (emb_hits, emb_misses) = caches.embed.stats();
         // Fold the locks recovered inside the index and the memo caches
@@ -1474,7 +1458,6 @@ impl ServeEngine {
                 "retrieve": stage_hists[3].to_json(),
                 "predict": stage_hists[4].to_json(),
             },
-            "exec": exec.to_json(),
             "caches": {
                 "policy": self.config.memo.name(),
                 "summary": { "hits": sum_hits, "misses": sum_misses },
@@ -1494,7 +1477,6 @@ impl ServeEngine {
             records,
             log,
             planned,
-            exec,
             report,
             wall,
         }
@@ -1746,7 +1728,6 @@ mod tests {
             as_u64(field(&out.report, &["stream", "shed"])) as usize,
             shed
         );
-        assert!(out.exec.makespan_secs > 0);
         assert!(out.log.contains("verdict=shed"));
     }
 
@@ -1813,9 +1794,9 @@ mod tests {
         assert!(out1.log.contains("circuit open"), "the breaker must trip");
         let fast = as_u64(field(&out1.report, &["faults", "breaker_fast_fails"]));
         assert!(fast > 0);
-        // Fast-failed events are never dispatched: fewer pool jobs than
-        // the no-breaker run would execute.
-        assert!(out1.exec.completed < n1);
+        // Fast-failed events are never executed: fewer collect samples
+        // than events.
+        assert!(as_u64(field(&out1.report, &["stages", "collect", "count"])) < n1 as u64);
     }
 
     #[test]

@@ -28,10 +28,12 @@
 //!   width. OCE corrections re-enter the index via
 //!   [`engine::ServeEngine::ingest_feedback`], journaled and replayed
 //!   with a visibility watermark.
-//! - **Virtual-time metrics** ([`vmetrics`]): per-stage latency
-//!   histograms, queue depths and throughput come from a deterministic
-//!   discrete-event simulation of the worker pool on the stream's own
-//!   clock, so benchmark numbers are reproducible on any host.
+//! - **Virtual-time report metrics** ([`vmetrics`]): histograms of each
+//!   executed event's ex-ante modeled stage costs, fault counters, and
+//!   the report's schema version. They are deterministic, and they are
+//!   not performance numbers: wall-clock throughput and latency come
+//!   from real-clock runs ([`engine::WallStats`]), measured by the
+//!   repository's `rcabench` benchmark.
 //!
 //! The engine's prediction log is byte-identical for every worker count:
 //! planning (admission, visibility) happens on the virtual clock before
@@ -93,13 +95,13 @@
 //! Finally, the engine is a **dual-mode runtime** ([`clock`]): every
 //! time read, sleep and deadline decision goes through one [`Clock`]
 //! trait with two backends. The default [`clock::VirtualClock`] is the
-//! deterministic DES above — byte-identical outputs, no real waits.
+//! deterministic engine above — byte-identical outputs, no real waits.
 //! [`clock::RealClock`] runs the same workers as real blocking threads:
 //! stage costs (which model remote LLM/service latency) become actual
 //! scaled sleeps, injected stalls burn wall time, and respawn backoff
-//! pauses the thread — so wall-clock throughput scales with worker
-//! count and `BENCH_serve_realtime.json` carries hardware-grounded
-//! numbers next to the virtual ones. An observability plane rides on
+//! pauses the thread. With the sleep scale set to zero, real mode runs
+//! at the speed of the engine's own code, which is how the `rcabench`
+//! benchmark measures it. An observability plane rides on
 //! the same boundary: structured `tracing` spans per event/stage/tenant
 //! (behind the off-by-default `tracing` feature) and a [`metrics`]
 //! registry of labeled counters and fixed-bucket histograms, rendered
@@ -139,8 +141,5 @@ pub use supervisor::{AttemptLedger, RetryQueue, Verdict};
 pub use tenant::{
     MultiTenantConfig, MultiTenantEngine, MultiTenantOutcome, TenantError, TenantRun, TenantSpec,
 };
-pub use vmetrics::{
-    simulate_drr, simulate_tenant_shards, DrrJob, DrrStats, ExecStats, FaultCounters,
-    ShardScaleStats, VirtualHistogram,
-};
+pub use vmetrics::{simulate_drr, DrrJob, DrrStats, ExecStats, FaultCounters, VirtualHistogram};
 pub use wal::{QuarantinedRecord, Recovery, WalError, WalRecord, WriteAheadLog};

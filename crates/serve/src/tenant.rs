@@ -35,7 +35,7 @@
 //! tenant list round-robin (`slot % shards`) over K shard workers, each
 //! a `std::thread` running its tenants in ascending slot order over the
 //! shared [`PlanCaches`] pool, one shared plane-wide
-//! [`VirtualClock`](crate::clock::VirtualClock) (the shard-aware
+//! [`VirtualClock`] (the shard-aware
 //! virtual-time merge: `advance_to` is a `fetch_max`, so the merged
 //! horizon is interleaving-independent), and one shared metrics
 //! registry. Per-tenant setup is O(1): the trained pipeline is an
@@ -46,12 +46,12 @@
 //! is byte-identical at any shard count** — the sharding only changes
 //! which thread computes each tenant's (deterministic) run.
 //!
-//! What *is* shared — the worker pool — is modeled where the rest of the
-//! crate models contention: in virtual time. [`simulate_drr`] schedules
-//! every tenant's admitted work over the shared pool under deficit round
-//! robin (weights = fair shares, per-tenant in-flight caps = bulkheads),
-//! yielding the merged and per-tenant latency statistics a wall-clock
-//! scheduler would produce, deterministically.
+//! What *is* shared — the worker pool — is modeled in virtual time for
+//! the plane report's `pool` sections: [`simulate_drr`] schedules every
+//! tenant's admitted work over the shared pool under deficit round robin
+//! (weights = fair shares, per-tenant in-flight caps = bulkheads),
+//! yielding deterministic merged and per-tenant latency statistics of
+//! the modeled stage costs. Wall-clock numbers come from real runs.
 
 use crate::clock::{Clock, ClockConfig, VirtualClock};
 use crate::cost;
@@ -246,6 +246,10 @@ pub struct MultiTenantOutcome {
     /// pool statistics and the plane/scheduler section.
     pub report: Value,
 }
+
+/// One tenant's finished run: its outcome and, when journaling, its WAL
+/// stream to merge back into the parent journal.
+type TenantRow = (ServeOutcome, Option<(TenantId, WriteAheadLog)>);
 
 /// One tenant's unit of work for a shard worker: the spec, its incident
 /// slice, and (when journaling) its pre-split WAL stream — everything a
@@ -464,7 +468,7 @@ impl MultiTenantEngine {
         total_weight: u32,
         shared: &Arc<PlanCaches>,
         task: TenantTask<'_>,
-    ) -> Result<(ServeOutcome, Option<(TenantId, WriteAheadLog)>), WalError> {
+    ) -> Result<TenantRow, WalError> {
         let cfg = MultiTenantEngine::tenant_engine_config(
             base,
             task.spec,
@@ -525,8 +529,7 @@ impl MultiTenantEngine {
             });
         }
         let shards = self.config.shards.max(1).min(tasks.len());
-        let mut results: Vec<Option<(ServeOutcome, Option<(TenantId, WriteAheadLog)>)>> =
-            (0..tasks.len()).map(|_| None).collect();
+        let mut results: Vec<Option<TenantRow>> = (0..tasks.len()).map(|_| None).collect();
         let mut failures: Vec<(usize, WalError)> = Vec::new();
         if shards <= 1 {
             for task in tasks {

@@ -1,11 +1,11 @@
-//! Virtual-time performance metrics.
+//! Virtual-time report metrics.
 //!
-//! The engine measures itself on the *virtual* clock of the alert stream,
-//! not the host's wall clock: stage costs come from the ex-ante service
-//! model and queueing comes from a deterministic discrete-event
-//! simulation. That keeps every number reproducible (and meaningful on a
-//! single-core CI box, where wall-clock thread scaling is impossible to
-//! observe).
+//! The engine report's deterministic parts live here: the report schema
+//! version, the fault counters, histograms of the ex-ante modeled stage
+//! costs (virtual seconds on the alert stream's clock), and the
+//! deficit-round-robin model that defines the tenant plane's `pool`
+//! report. None of these is a performance measurement; wall-clock
+//! throughput and latency come from real runs ([`crate::engine::WallStats`]).
 
 use crate::metrics::MetricsRegistry;
 use serde_json::{json, Value};
@@ -18,13 +18,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// The report predates the structured [`crate::metrics`] exporter and
 /// keeps evolving with the engine; this explicit version lets the two
 /// formats drift independently without silently breaking consumers.
-/// History: 1 = implicit pre-PR-9 shape; 2 = adds `schema_version`,
-/// `clock`, and the real-mode `wall` section; 3 = drops
+/// History: 1 = the implicit shape before versioning; 2 = adds
+/// `schema_version`, `clock`, and the real-mode `wall` section; 3 = drops
 /// `online_index_stats` (the index has no candidate structure left to
-/// report; `online_index_len` stays).
+/// report; `online_index_len` stays); 4 = drops `exec`, the modeled
+/// worker-pool schedule (wall-clock numbers are in `wall`).
 ///
 /// [`ServeOutcome::report`]: crate::engine::ServeOutcome::report
-pub const REPORT_SCHEMA_VERSION: u32 = 3;
+pub const REPORT_SCHEMA_VERSION: u32 = 4;
 
 /// Robustness counters for one engine run.
 ///
@@ -235,17 +236,8 @@ impl VirtualHistogram {
     }
 }
 
-/// One job for the execution simulation: arrival instant and service
-/// demand, both in virtual seconds.
-#[derive(Debug, Clone, Copy)]
-pub struct VirtualJob {
-    /// Arrival instant (virtual seconds since stream epoch).
-    pub arrival_secs: u64,
-    /// Service demand (virtual seconds).
-    pub service_secs: u64,
-}
-
-/// Result of simulating the worker pool over the admitted jobs.
+/// Schedule statistics of one simulated pool, or of one tenant's jobs
+/// within it.
 #[derive(Debug, Clone)]
 pub struct ExecStats {
     /// Queue-wait per job (start − arrival).
@@ -279,55 +271,6 @@ impl ExecStats {
             "wait": self.waits.to_json(),
             "latency": self.latencies.to_json(),
         })
-    }
-}
-
-/// Simulates `workers` FCFS servers over `jobs` (must be sorted by
-/// arrival; ties keep slice order). Deterministic: the free server with
-/// the earliest availability takes the next job in arrival order.
-pub fn simulate_pool(jobs: &[VirtualJob], workers: usize) -> ExecStats {
-    let workers = workers.max(1);
-    let mut free: BinaryHeap<Reverse<u64>> = (0..workers).map(|_| Reverse(0u64)).collect();
-    let mut waits = VirtualHistogram::new();
-    let mut latencies = VirtualHistogram::new();
-    let mut starts: Vec<u64> = Vec::with_capacity(jobs.len());
-    let mut last_finish = 0u64;
-    for job in jobs {
-        let Reverse(free_at) = free.pop().expect("worker heap never empty");
-        let start = free_at.max(job.arrival_secs);
-        let finish = start + job.service_secs;
-        free.push(Reverse(finish));
-        starts.push(start);
-        waits.record(start - job.arrival_secs);
-        latencies.record(finish - job.arrival_secs);
-        last_finish = last_finish.max(finish);
-    }
-    // Peak backlog: sweep +1 at each arrival, −1 at each start. Starts
-    // are processed before arrivals at equal instants so a job that
-    // starts the moment it arrives never counts as queued.
-    let mut deltas: Vec<(u64, i32, i32)> = Vec::with_capacity(jobs.len() * 2);
-    for (job, &start) in jobs.iter().zip(&starts) {
-        deltas.push((job.arrival_secs, 1, 1));
-        deltas.push((start, 0, -1));
-    }
-    deltas.sort_unstable();
-    let mut depth = 0i32;
-    let mut peak = 0i32;
-    for (_, _, d) in deltas {
-        depth += d;
-        peak = peak.max(depth);
-    }
-    let makespan = if jobs.is_empty() {
-        0
-    } else {
-        last_finish.saturating_sub(jobs[0].arrival_secs)
-    };
-    ExecStats {
-        waits,
-        latencies,
-        makespan_secs: makespan,
-        peak_queue_depth: peak.max(0) as usize,
-        completed: jobs.len(),
     }
 }
 
@@ -543,168 +486,6 @@ pub fn simulate_drr(
     }
 }
 
-/// Result of [`simulate_tenant_shards`]: the merged view of a
-/// tenant-sharded run plus each shard's own [`ExecStats`].
-#[derive(Debug, Clone)]
-pub struct ShardScaleStats {
-    /// Shard count the jobs were dealt over.
-    pub shards: usize,
-    /// One FCFS pool result per shard, in shard order.
-    pub per_shard: Vec<ExecStats>,
-    /// Virtual makespan of the whole run: the latest shard finish minus
-    /// the earliest arrival overall (0 when no jobs).
-    pub merged_makespan_secs: u64,
-    /// Total jobs across all shards.
-    pub completed: usize,
-}
-
-impl ShardScaleStats {
-    /// Completed jobs per virtual hour across the merged run.
-    pub fn throughput_per_hour(&self) -> f64 {
-        if self.merged_makespan_secs == 0 {
-            return 0.0;
-        }
-        self.completed as f64 * 3_600.0 / self.merged_makespan_secs as f64
-    }
-
-    /// JSON summary: merged makespan/throughput plus per-shard load.
-    pub fn to_json(&self) -> Value {
-        let per_shard: Vec<Value> = self
-            .per_shard
-            .iter()
-            .map(|s| {
-                json!({
-                    "completed": s.completed,
-                    "makespan_secs": s.makespan_secs,
-                    "p99_latency_secs": s.latencies.percentile(0.99),
-                })
-            })
-            .collect();
-        json!({
-            "shards": self.shards,
-            "completed": self.completed,
-            "merged_makespan_secs": self.merged_makespan_secs,
-            "throughput_per_hour": self.throughput_per_hour(),
-            "per_shard": per_shard,
-        })
-    }
-}
-
-/// Models the tenant-sharded runtime: tenants are dealt round-robin to
-/// `shards` shard workers (`tenant_slot % shards` — exactly the
-/// scheduler's assignment), and each shard is one FCFS server executing
-/// its tenants' admitted events in arrival order. This is the
-/// virtual-time composition the `serve_tenant_scale` bench asserts
-/// monotone over shard counts: adding shards splits the heavy-tailed
-/// tenant load, so the merged makespan (latest shard finish − earliest
-/// arrival) cannot grow as long as no single tenant dominates the total
-/// service demand.
-///
-/// `jobs` must be sorted by arrival (ties keep slice order), the same
-/// contract as [`simulate_drr`].
-pub fn simulate_tenant_shards(jobs: &[DrrJob], shards: usize) -> ShardScaleStats {
-    let k = shards.max(1);
-    let mut buckets: Vec<Vec<VirtualJob>> = vec![Vec::new(); k];
-    let mut first_arrival = u64::MAX;
-    for job in jobs {
-        first_arrival = first_arrival.min(job.arrival_secs);
-        buckets[job.tenant_slot % k].push(VirtualJob {
-            arrival_secs: job.arrival_secs,
-            service_secs: job.service_secs,
-        });
-    }
-    let per_shard: Vec<ExecStats> = buckets.iter().map(|b| simulate_pool(b, 1)).collect();
-    // A shard's last finish is its first arrival plus its makespan.
-    let last_finish = buckets
-        .iter()
-        .zip(&per_shard)
-        .filter_map(|(bucket, stats)| {
-            bucket
-                .first()
-                .map(|job| job.arrival_secs + stats.makespan_secs)
-        })
-        .max();
-    let merged_makespan_secs = match last_finish {
-        Some(finish) => finish.saturating_sub(first_arrival),
-        None => 0,
-    };
-    ShardScaleStats {
-        shards: k,
-        per_shard,
-        merged_makespan_secs,
-        completed: jobs.len(),
-    }
-}
-
-/// One retrieval-plane operation for the shard-lock simulation: an
-/// index lookup or insert that must hold one shard's lock while served.
-#[derive(Debug, Clone, Copy)]
-pub struct ShardOp {
-    /// Arrival instant (virtual seconds since stream epoch).
-    pub arrival_secs: u64,
-    /// Lock-hold / service demand (virtual seconds).
-    pub service_secs: u64,
-    /// Shard whose lock the operation needs.
-    pub shard: usize,
-}
-
-/// Simulates `requesters` FCFS request threads driving `shards`
-/// single-holder shard locks over `ops` (sorted by arrival; ties keep
-/// slice order). A request occupies its requester *and* its op's shard
-/// lock for the full service window — a thread blocks on the mutex it
-/// needs — so with one shard every operation serializes (the old
-/// single-mutex retrieval plane) and with more shards only same-shard
-/// operations contend. Deterministic: the earliest-free requester takes
-/// the next op in arrival order.
-pub fn simulate_shard_locks(ops: &[ShardOp], requesters: usize, shards: usize) -> ExecStats {
-    let shards = shards.max(1);
-    let requesters = requesters.max(1);
-    let mut free: BinaryHeap<Reverse<u64>> = (0..requesters).map(|_| Reverse(0u64)).collect();
-    let mut shard_free = vec![0u64; shards];
-    let mut waits = VirtualHistogram::new();
-    let mut latencies = VirtualHistogram::new();
-    let mut starts: Vec<u64> = Vec::with_capacity(ops.len());
-    let mut last_finish = 0u64;
-    for op in ops {
-        let Reverse(free_at) = free.pop().expect("requester heap never empty");
-        let lock_free = shard_free[op.shard % shards];
-        let start = free_at.max(op.arrival_secs).max(lock_free);
-        let finish = start + op.service_secs;
-        free.push(Reverse(finish));
-        shard_free[op.shard % shards] = finish;
-        starts.push(start);
-        waits.record(start - op.arrival_secs);
-        latencies.record(finish - op.arrival_secs);
-        last_finish = last_finish.max(finish);
-    }
-    // Peak backlog: same sweep as `simulate_pool` — starts sort before
-    // arrivals at equal instants so an unqueued op never counts.
-    let mut deltas: Vec<(u64, i32, i32)> = Vec::with_capacity(ops.len() * 2);
-    for (op, &start) in ops.iter().zip(&starts) {
-        deltas.push((op.arrival_secs, 1, 1));
-        deltas.push((start, 0, -1));
-    }
-    deltas.sort_unstable();
-    let mut depth = 0i32;
-    let mut peak = 0i32;
-    for (_, _, d) in deltas {
-        depth += d;
-        peak = peak.max(depth);
-    }
-    let makespan = if ops.is_empty() {
-        0
-    } else {
-        last_finish.saturating_sub(ops[0].arrival_secs)
-    };
-    ExecStats {
-        waits,
-        latencies,
-        makespan_secs: makespan,
-        peak_queue_depth: peak.max(0) as usize,
-        completed: ops.len(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -723,134 +504,60 @@ mod tests {
         assert_eq!(VirtualHistogram::new().percentile(0.5), 0);
     }
 
+    /// FCFS reference for [`simulate_drr`] with one tenant: `workers`
+    /// servers over `jobs` sorted by arrival, the earliest-free server
+    /// taking the next job.
+    fn simulate_pool(jobs: &[DrrJob], workers: usize) -> ExecStats {
+        let mut free: BinaryHeap<Reverse<u64>> = (0..workers.max(1)).map(|_| Reverse(0)).collect();
+        let schedule: Vec<(u64, u64, u64)> = jobs
+            .iter()
+            .map(|job| {
+                let Reverse(free_at) = free.pop().expect("worker heap never empty");
+                let start = free_at.max(job.arrival_secs);
+                let finish = start + job.service_secs;
+                free.push(Reverse(finish));
+                (job.arrival_secs, start, finish)
+            })
+            .collect();
+        stats_from_schedule(&schedule)
+    }
+
     #[test]
     fn single_worker_serializes_jobs() {
-        let jobs = [
-            VirtualJob {
-                arrival_secs: 0,
+        let jobs: Vec<DrrJob> = (0..3)
+            .map(|i| DrrJob {
+                tenant_slot: 0,
+                arrival_secs: i * 10,
                 service_secs: 100,
-            },
-            VirtualJob {
-                arrival_secs: 10,
-                service_secs: 100,
-            },
-            VirtualJob {
-                arrival_secs: 20,
-                service_secs: 100,
-            },
-        ];
-        let stats = simulate_pool(&jobs, 1);
+            })
+            .collect();
+        let stats = simulate_drr(&jobs, 1, &[1], 100, &[None]).merged;
         assert_eq!(stats.makespan_secs, 300);
         assert_eq!(stats.waits.max(), 180);
         assert_eq!(stats.peak_queue_depth, 2);
     }
 
     #[test]
-    fn more_workers_never_hurt_makespan_or_waits() {
-        let jobs: Vec<VirtualJob> = (0..40)
-            .map(|i| VirtualJob {
-                arrival_secs: (i / 4) * 30,
-                service_secs: 200 + (i % 7) * 40,
-            })
-            .collect();
-        let mut prev_makespan = u64::MAX;
-        let mut prev_wait = u64::MAX;
-        for w in 1..=8 {
-            let stats = simulate_pool(&jobs, w);
-            assert!(stats.makespan_secs <= prev_makespan, "workers {w}");
-            assert!(stats.waits.percentile(0.99) <= prev_wait, "workers {w}");
-            prev_makespan = stats.makespan_secs;
-            prev_wait = stats.waits.percentile(0.99);
-        }
-        let saturated = simulate_pool(&jobs, 4);
-        let serial = simulate_pool(&jobs, 1);
-        assert!(saturated.throughput_per_hour() > serial.throughput_per_hour());
-    }
-
-    #[test]
     fn empty_job_list_is_well_defined() {
-        let stats = simulate_pool(&[], 4);
-        assert_eq!(stats.completed, 0);
-        assert_eq!(stats.makespan_secs, 0);
-        assert_eq!(stats.throughput_per_hour(), 0.0);
-        let shard_stats = simulate_shard_locks(&[], 4, 4);
-        assert_eq!(shard_stats.completed, 0);
-        assert_eq!(shard_stats.throughput_per_hour(), 0.0);
-    }
-
-    #[test]
-    fn tenant_shards_with_one_shard_match_the_single_pool() {
-        let jobs: Vec<DrrJob> = (0..60)
-            .map(|i| DrrJob {
-                tenant_slot: i % 5,
-                arrival_secs: (i as u64 / 3) * 45,
-                service_secs: 100 + (i as u64 % 4) * 50,
-            })
-            .collect();
-        let pool_jobs: Vec<VirtualJob> = jobs
-            .iter()
-            .map(|j| VirtualJob {
-                arrival_secs: j.arrival_secs,
-                service_secs: j.service_secs,
-            })
-            .collect();
-        let one = simulate_tenant_shards(&jobs, 1);
-        let pool = simulate_pool(&pool_jobs, 1);
-        assert_eq!(one.merged_makespan_secs, pool.makespan_secs);
-        assert_eq!(one.completed, pool.completed);
-        assert_eq!(one.per_shard.len(), 1);
-        let empty = simulate_tenant_shards(&[], 4);
-        assert_eq!(empty.completed, 0);
-        assert_eq!(empty.throughput_per_hour(), 0.0);
-    }
-
-    #[test]
-    fn tenant_shards_scale_monotonically_on_a_spread_fleet() {
-        // 64 tenants of comparable volume, arrivals bunched early so the
-        // pool is backlogged — the regime the scale bench asserts in.
-        let mut jobs: Vec<DrrJob> = Vec::new();
-        for slot in 0..64usize {
-            for e in 0..8u64 {
-                jobs.push(DrrJob {
-                    tenant_slot: slot,
-                    arrival_secs: e * 20 + (slot as u64 % 7),
-                    service_secs: 150 + (slot as u64 % 5) * 30,
-                });
-            }
-        }
-        jobs.sort_by_key(|j| j.arrival_secs);
-        let mut last = f64::NEG_INFINITY;
-        for shards in [1usize, 2, 4, 8] {
-            let stats = simulate_tenant_shards(&jobs, shards);
-            assert_eq!(stats.completed, jobs.len());
-            assert!(
-                stats.throughput_per_hour() >= last,
-                "{shards} shards regressed: {} < {last}",
-                stats.throughput_per_hour()
-            );
-            last = stats.throughput_per_hour();
-        }
+        let stats = simulate_drr(&[], 4, &[1], 60, &[None]);
+        assert_eq!(stats.merged.completed, 0);
+        assert_eq!(stats.merged.makespan_secs, 0);
+        assert_eq!(stats.merged.throughput_per_hour(), 0.0);
+        assert_eq!(stats.per_tenant[0].completed, 0);
     }
 
     #[test]
     fn drr_with_one_tenant_matches_the_fcfs_pool() {
-        let jobs: Vec<VirtualJob> = (0..40)
-            .map(|i| VirtualJob {
+        let jobs: Vec<DrrJob> = (0..40)
+            .map(|i| DrrJob {
+                tenant_slot: 0,
                 arrival_secs: (i / 4) * 30,
                 service_secs: 200 + (i % 7) * 40,
             })
             .collect();
-        let drr_jobs: Vec<DrrJob> = jobs
-            .iter()
-            .map(|j| DrrJob {
-                tenant_slot: 0,
-                arrival_secs: j.arrival_secs,
-                service_secs: j.service_secs,
-            })
-            .collect();
         for workers in [1usize, 3, 8] {
             let pool = simulate_pool(&jobs, workers);
-            let drr = simulate_drr(&drr_jobs, workers, &[1], 60, &[None]);
+            let drr = simulate_drr(&jobs, workers, &[1], 60, &[None]);
             assert_eq!(
                 drr.merged.makespan_secs, pool.makespan_secs,
                 "{workers} workers"
@@ -950,47 +657,5 @@ mod tests {
             serde_json::to_string(&again.merged.to_json()).unwrap()
         );
         assert_eq!(stats.merged.completed, 65);
-    }
-
-    #[test]
-    fn one_shard_serializes_like_a_single_lock() {
-        // Plenty of requesters, one lock: everything serializes.
-        let ops: Vec<ShardOp> = (0..10)
-            .map(|i| ShardOp {
-                arrival_secs: 0,
-                service_secs: 10,
-                shard: i % 4,
-            })
-            .collect();
-        let single = simulate_shard_locks(&ops, 8, 1);
-        assert_eq!(single.makespan_secs, 100, "one lock ⇒ sequential");
-        // Four shards, round-robin ops: perfect 4-way split.
-        let quad = simulate_shard_locks(&ops, 8, 4);
-        assert_eq!(quad.makespan_secs, 30, "ceil(10/4) ops per shard × 10s");
-        assert!(quad.throughput_per_hour() > single.throughput_per_hour());
-    }
-
-    #[test]
-    fn more_shards_never_hurt_lock_throughput() {
-        let ops: Vec<ShardOp> = (0..60)
-            .map(|i| ShardOp {
-                arrival_secs: (i / 6) * 5,
-                service_secs: 8 + (i % 5) * 3,
-                shard: ((i * 7 + 3) % 8) as usize,
-            })
-            .collect();
-        let mut prev_makespan = u64::MAX;
-        for shards in [1usize, 2, 4, 8] {
-            let stats = simulate_shard_locks(&ops, 12, shards);
-            assert_eq!(stats.completed, ops.len());
-            assert!(
-                stats.makespan_secs <= prev_makespan,
-                "{shards} shards regressed the makespan"
-            );
-            prev_makespan = stats.makespan_secs;
-        }
-        // Shard indices outside the shard count wrap instead of panicking.
-        let wrapped = simulate_shard_locks(&ops, 12, 3);
-        assert_eq!(wrapped.completed, ops.len());
     }
 }

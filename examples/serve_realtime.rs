@@ -97,7 +97,7 @@ fn main() {
     );
     let outcome = engine.run(&test, &stream);
 
-    // 4. Wall-clock numbers next to the virtual ones.
+    // 4. Wall-clock numbers of the run.
     let wall = outcome.wall.expect("real mode records wall stats");
     println!(
         "\n{} events: wall {:.1} ms, {:.1} events/s, p50 {:.2} ms, p99 {:.2} ms",
@@ -106,12 +106,6 @@ fn main() {
         wall.throughput_per_sec,
         wall.p50_ms,
         wall.p99_ms,
-    );
-    println!(
-        "Virtual view of the same run: {:.1} incidents/hour, p50 {} s, p99 {} s",
-        outcome.exec.throughput_per_hour(),
-        outcome.exec.latencies.percentile(0.50),
-        outcome.exec.latencies.percentile(0.99),
     );
     println!("\nPrometheus export (first lines):");
     for line in registry.render_prometheus().lines().take(8) {

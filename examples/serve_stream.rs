@@ -102,14 +102,6 @@ fn main() {
         "Accuracy on served predictions: {correct}/{predicted} ({:.1}%).",
         100.0 * correct as f64 / predicted.max(1) as f64
     );
-    println!(
-        "Virtual throughput: {:.1} incidents/hour; latency p50 {} s, p99 {} s; \
-         peak queue depth {}.",
-        outcome.exec.throughput_per_hour(),
-        outcome.exec.latencies.percentile(0.50),
-        outcome.exec.latencies.percentile(0.99),
-        outcome.exec.peak_queue_depth,
-    );
     println!("\nFirst few log lines of the deterministic prediction log:");
     for line in outcome.log.lines().take(5) {
         println!("  {line}");
