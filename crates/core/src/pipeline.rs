@@ -357,6 +357,11 @@ impl RcaCopilot {
                 completeness * 100.0
             ));
         }
+        // Predictions outlive the run (engine records, reports), so they
+        // keep no spare capacity: the explanation drops `format!`'s
+        // slack, and the categories are collected fresh rather than in
+        // place over the options' larger allocation.
+        explanation.shrink_to_fit();
         RcaPrediction {
             label: pred.label,
             unseen: pred.unseen,
@@ -364,8 +369,8 @@ impl RcaCopilot {
             explanation,
             demo_categories: prompt
                 .options
-                .into_iter()
-                .map(|o| o.category.into_owned())
+                .iter()
+                .map(|o| o.category.to_string())
                 .collect(),
             completeness,
         }
@@ -486,6 +491,28 @@ mod tests {
             pred_decayed.demo_categories,
             vec!["NewCategory".to_string()]
         );
+    }
+
+    #[test]
+    fn predictions_keep_no_spare_capacity() {
+        let copilot = RcaCopilot::train(&training_set(), quick_config());
+        let degraded = RunDegradation {
+            sections_total: 4,
+            sections_failed: 1,
+            sources_failed: vec!["probes".into()],
+            ..RunDegradation::default()
+        };
+        for degradation in [RunDegradation::default(), degraded] {
+            let pred = copilot.predict_degraded(
+                "DatacenterHubOutboundProxyProbe failed WinSock error 11001 UDP socket count",
+                "The probe failed with WinSock error 11001.",
+                SimTime::from_days(47),
+                &degradation,
+            );
+            assert!(pred.demo_categories.len() > 1);
+            assert_eq!(pred.demo_categories.capacity(), pred.demo_categories.len());
+            assert_eq!(pred.explanation.capacity(), pred.explanation.len());
+        }
     }
 
     #[test]

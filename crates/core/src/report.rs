@@ -124,7 +124,7 @@ mod tests {
             },
             category: "HubPortExhaustion".into(),
             first_of_category: false,
-            snapshot: TelemetrySnapshot::new(SimTime::from_days(10)),
+            snapshot: std::sync::Arc::new(TelemetrySnapshot::new(SimTime::from_days(10))),
         };
         let collected = CollectedIncident {
             alert_info: incident.alert_info(),

@@ -1,6 +1,6 @@
 //! Hashed feature extraction for FastText-style models.
 
-use rcacopilot_textkit::ngram::{bucket_of, char_ngrams, word_ngrams};
+use rcacopilot_textkit::ngram::{for_each_char_ngram_hash, for_each_word_ngram_hash};
 use rcacopilot_textkit::normalize::{mask_entities, normalize, tokenize};
 use serde::{Deserialize, Serialize};
 
@@ -37,6 +37,11 @@ impl FeatureExtractor {
     /// Features: word n-grams up to `word_ngrams`, plus character n-grams
     /// of each word (FastText's subword trick). Duplicates are kept —
     /// frequency matters for the averaged representation.
+    ///
+    /// Each n-gram is hashed from byte slices of its tokens
+    /// ([`for_each_word_ngram_hash`], [`for_each_char_ngram_hash`])
+    /// rather than built as a string; ids and their order equal
+    /// `bucket_of` over `word_ngrams` and `char_ngrams`.
     pub fn extract(&self, text: &str) -> Vec<usize> {
         let canon = if self.mask {
             normalize(&mask_entities(text))
@@ -44,18 +49,16 @@ impl FeatureExtractor {
             normalize(text)
         };
         let tokens = tokenize(&canon);
+        let buckets = self.buckets as u64;
         let mut out = Vec::with_capacity(tokens.len() * 6);
-        for gram in word_ngrams(&tokens, self.word_ngrams) {
-            out.push(bucket_of(&gram, self.buckets));
-        }
+        let mut push = |h: u64| out.push((h % buckets) as usize);
+        for_each_word_ngram_hash(&tokens, self.word_ngrams, &mut push);
         for tok in &tokens {
             // Placeholders (<machine>, <num>, ...) carry no subword signal.
             if tok.starts_with('<') {
                 continue;
             }
-            for gram in char_ngrams(tok, self.min_n, self.max_n) {
-                out.push(bucket_of(&gram, self.buckets));
-            }
+            for_each_char_ngram_hash(tok, self.min_n, self.max_n, &mut push);
         }
         out
     }
@@ -116,5 +119,63 @@ mod tests {
         let fx = FeatureExtractor::default();
         assert!(fx.extract("").is_empty());
         assert!(fx.extract("   \n\t ").is_empty());
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+    use rcacopilot_textkit::ngram::{bucket_of, char_ngrams, word_ngrams};
+
+    /// `extract` as string n-grams: the definition the hashed path must
+    /// reproduce id for id.
+    fn extract_by_strings(fx: &FeatureExtractor, text: &str) -> Vec<usize> {
+        let canon = if fx.mask {
+            normalize(&mask_entities(text))
+        } else {
+            normalize(text)
+        };
+        let tokens = tokenize(&canon);
+        let mut out: Vec<usize> = word_ngrams(&tokens, fx.word_ngrams)
+            .iter()
+            .map(|g| bucket_of(g, fx.buckets))
+            .collect();
+        for tok in tokens.iter().filter(|t| !t.starts_with('<')) {
+            for gram in char_ngrams(tok, fx.min_n, fx.max_n) {
+                out.push(bucket_of(&gram, fx.buckets));
+            }
+        }
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+        #[test]
+        fn extract_matches_the_string_ngram_reference(
+            words in proptest::collection::vec(
+                proptest::sample::select(vec![
+                    "NAMPR03FD0001", "11/21/2022", "2:04:20", "3fa85f64-5717", "203736",
+                    "System.IO.IOException", "port=25", "<machine>", "WinSock", "a",
+                ]),
+                0..8,
+            ),
+            noise in "[a-zA-Z0-9 _.:/=<>()\u{e9}\u{3a3}-]{0,80}",
+            mask in proptest::sample::select(vec![false, true]),
+            min_n in 1usize..5,
+            span in 0usize..4,
+            word_ngrams in 1usize..=3,
+            buckets in 1usize..5000,
+        ) {
+            let fx = FeatureExtractor {
+                buckets,
+                min_n,
+                max_n: min_n + span,
+                word_ngrams,
+                mask,
+            };
+            let text = format!("{} {noise}", words.join(" "));
+            prop_assert_eq!(fx.extract(&text), extract_by_strings(&fx, &text));
+        }
     }
 }

@@ -118,9 +118,20 @@ impl<'a> PredictionPrompt<'a> {
 
     /// Drops trailing options until the prompt fits `budget` tokens.
     /// Returns the number of options removed.
+    ///
+    /// A prompt is encoded only when [`BpeTokenizer::token_upper_bound`]
+    /// exceeds the budget: the bound never undercounts, so a prompt it
+    /// fits also fits by exact count, and the options kept are the ones
+    /// exact counting at every step would keep.
     pub fn truncate_to_budget(&mut self, tokenizer: &BpeTokenizer, budget: usize) -> usize {
         let mut dropped = 0;
-        while self.options.len() > 1 && self.token_count(tokenizer) > budget {
+        while self.options.len() > 1 {
+            let text = self.render();
+            if tokenizer.token_upper_bound(&text) <= budget
+                || tokenizer.count_tokens(&text) <= budget
+            {
+                break;
+            }
             self.options.pop();
             dropped += 1;
         }
@@ -218,5 +229,60 @@ mod tests {
         let dropped = p.truncate_to_budget(&tok, 1);
         assert_eq!(dropped, 0);
         assert_eq!(p.options.len(), 1);
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// The budget loop before the bound: encode the prompt at every step.
+    fn truncate_by_exact_count(
+        prompt: &mut PredictionPrompt<'_>,
+        tokenizer: &BpeTokenizer,
+        budget: usize,
+    ) -> usize {
+        let mut dropped = 0;
+        while prompt.options.len() > 1 && prompt.token_count(tokenizer) > budget {
+            prompt.options.pop();
+            dropped += 1;
+        }
+        dropped
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        #[test]
+        fn truncation_matches_exact_counting_on_both_sides_of_the_bound(
+            input in "[a-zA-Z0-9 .,\u{3a3}\u{e9}]{0,60}",
+            summaries in proptest::collection::vec("[a-zA-Z0-9 .\u{3a3}\u{e9}]{0,80}", 0..8),
+            percent in 0usize..=130,
+        ) {
+            let tok = BpeTokenizer::train(
+                &[
+                    "incident diagnostic summary category unseen option".to_string(),
+                    input.clone(),
+                ],
+                200,
+            );
+            let options: Vec<PromptOption<'static>> = summaries
+                .iter()
+                .enumerate()
+                .map(|(i, s)| PromptOption {
+                    summary: s.clone().into(),
+                    category: format!("Cat{i}").into(),
+                })
+                .collect();
+            let full = PredictionPrompt::new(input.clone(), options);
+            let bound = tok.token_upper_bound(&full.render());
+            // From far below the exact count, through the gap between
+            // count and bound, to above the bound.
+            let budget = bound * percent / 100;
+            let (mut fast, mut exact) = (full.clone(), full);
+            let dropped = fast.truncate_to_budget(&tok, budget);
+            prop_assert_eq!(dropped, truncate_by_exact_count(&mut exact, &tok, budget));
+            prop_assert_eq!(fast, exact);
+        }
     }
 }

@@ -966,10 +966,13 @@ impl ServeEngine {
             .into_inner()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
             .slots;
-        let records: Vec<EventRecord> = slots
+        let mut records: Vec<EventRecord> = slots
             .into_iter()
             .map_while(|s| s.map(|slot| slot.record))
             .collect();
+        // Collected in place over the larger slots; the outcome keeps the
+        // records, not the slack.
+        records.shrink_to_fit();
         if self.config.crash_at.is_none() {
             assert_eq!(
                 records.len(),
@@ -1664,10 +1667,15 @@ mod tests {
         assert_eq!(out1.log, out4.log);
         assert_eq!(out1.records.len(), test.len());
         assert!(!out1.crashed());
-        assert!(out1
-            .records
-            .iter()
-            .all(|r| matches!(r.outcome, EventOutcome::Predicted { .. })));
+        // What a run keeps holds no spare capacity.
+        assert_eq!(out1.records.capacity(), out1.records.len());
+        for record in &out1.records {
+            let EventOutcome::Predicted { prediction, .. } = &record.outcome else {
+                panic!("every replayed event is predicted");
+            };
+            let demos = &prediction.demo_categories;
+            assert_eq!(demos.capacity(), demos.len());
+        }
     }
 
     #[test]

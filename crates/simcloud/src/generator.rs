@@ -21,6 +21,7 @@ use rcacopilot_telemetry::query::Scope;
 use rcacopilot_telemetry::time::{SimDuration, SimTime};
 use rcacopilot_telemetry::TelemetrySnapshot;
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// Campaign parameters.
 #[derive(Debug, Clone)]
@@ -234,7 +235,7 @@ fn build_incident(
         },
         category: spec.name.clone(),
         first_of_category,
-        snapshot,
+        snapshot: Arc::new(snapshot),
     }
 }
 

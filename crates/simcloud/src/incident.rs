@@ -4,6 +4,7 @@ use rcacopilot_telemetry::alert::Alert;
 use rcacopilot_telemetry::time::SimTime;
 use rcacopilot_telemetry::TelemetrySnapshot;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// One cloud incident: the alert, the telemetry around it, and the
 /// ground-truth root-cause category assigned post-investigation by OCEs.
@@ -16,8 +17,10 @@ pub struct Incident {
     /// True if this is the first incident of its category in the year —
     /// a "new root cause" in the sense of the paper's Figure 3.
     pub first_of_category: bool,
-    /// Telemetry visible to handlers for this incident.
-    pub snapshot: TelemetrySnapshot,
+    /// Telemetry visible to handlers for this incident. Shared: replays,
+    /// storm re-raises and tenant copies of an incident clone the pointer,
+    /// not the telemetry, which nothing mutates after generation.
+    pub snapshot: Arc<TelemetrySnapshot>,
 }
 
 impl Incident {
@@ -58,7 +61,7 @@ mod tests {
             },
             category: "MemoryLeakTransport".into(),
             first_of_category: true,
-            snapshot: TelemetrySnapshot::new(SimTime::from_days(3)),
+            snapshot: Arc::new(TelemetrySnapshot::new(SimTime::from_days(3))),
         };
         let info = inc.alert_info();
         assert!(info.contains("ResourcePressure"));

@@ -162,6 +162,29 @@ impl BpeTokenizer {
         self.encode(text).len()
     }
 
+    /// An upper bound on [`BpeTokenizer::count_tokens`] that never
+    /// encodes: the sum over whitespace words of each word's lowercased
+    /// character count plus one.
+    ///
+    /// [`BpeTokenizer::encode`] starts a word with at most one symbol per
+    /// character of its lowercase form (unknown characters are skipped)
+    /// plus the end-of-word marker, and every merge shortens it.
+    /// `str::to_lowercase` maps each character to exactly as many
+    /// characters as `char::to_lowercase` (final sigma included), so the
+    /// per-character sum is the lowercase form's length.
+    pub fn token_upper_bound(&self, text: &str) -> usize {
+        text.split_whitespace()
+            .map(|word| {
+                let chars = if word.is_ascii() {
+                    word.len()
+                } else {
+                    word.chars().map(|c| c.to_lowercase().len()).sum()
+                };
+                chars + 1
+            })
+            .sum()
+    }
+
     /// Decodes ids back to a string (words separated by single spaces).
     pub fn decode(&self, ids: &[u32]) -> String {
         let mut out = String::new();
@@ -248,6 +271,18 @@ mod tests {
     }
 
     #[test]
+    fn token_upper_bound_counts_lowercased_chars_plus_one_per_word() {
+        let tok = BpeTokenizer::train(&corpus(), 300);
+        assert_eq!(tok.token_upper_bound(""), 0);
+        assert_eq!(tok.token_upper_bound("  transport\tprocess \n"), 10 + 8);
+        // `İ` lowercases to two characters; `ΑΣ` ends in final sigma.
+        assert_eq!(tok.token_upper_bound("\u{130}x \u{391}\u{3a3}"), 4 + 3);
+        for text in ["transport process failed", "Socket EXCEPTION Ω≈ç√", "zzz"] {
+            assert!(tok.token_upper_bound(text) >= tok.count_tokens(text));
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "vocab_size must be positive")]
     fn zero_vocab_panics() {
         let _ = BpeTokenizer::train(&corpus(), 0);
@@ -279,6 +314,20 @@ mod proptests {
             let text = words.join(" ");
             let ids = tok.encode(&text);
             prop_assert_eq!(tok.decode(&ids), text);
+        }
+
+        #[test]
+        fn token_upper_bound_never_undercounts(
+            words in proptest::collection::vec("[a-z]{1,8}", 1..6),
+            text in "[a-zA-Z0-9 \t\n\u{3000}.,_<>\u{391}-\u{3c9}\u{130}\u{1e9e}\u{df}\u{1f600}-]{0,80}",
+        ) {
+            // A vocabulary from lowercase ASCII words: uppercase folds into
+            // it, Greek, emoji and the rest stay outside it, and `Σ` at a
+            // word's end lowercases to final sigma.
+            let tok = BpeTokenizer::train(&[words.join(" ")], 120);
+            prop_assert!(tok.token_upper_bound(&text) >= tok.count_tokens(&text));
+            let joined = format!("{} {text}", words.join(" "));
+            prop_assert!(tok.token_upper_bound(&joined) >= tok.count_tokens(&joined));
         }
 
         #[test]

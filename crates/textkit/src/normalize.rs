@@ -18,8 +18,12 @@ pub fn normalize(text: &str) -> String {
                 last_space = true;
             }
         } else {
-            for lc in ch.to_lowercase() {
-                out.push(lc);
+            // ASCII, nearly all diagnostic text, skips the case-mapping
+            // iterator; it lowercases to the same single character.
+            if ch.is_ascii() {
+                out.push(ch.to_ascii_lowercase());
+            } else {
+                out.extend(ch.to_lowercase());
             }
             last_space = false;
         }
@@ -259,6 +263,15 @@ mod proptests {
             for tok in tokenize(&normalize(&s)) {
                 prop_assert!(!tok.is_empty());
             }
+        }
+
+        #[test]
+        fn normalize_lowercases_each_char_and_joins_words(s in "[ -~\t\n\u{3000}\u{c0}-\u{17f}\u{391}-\u{3c9}\u{130}\u{212a}]{0,120}") {
+            let words: Vec<String> = s
+                .split_whitespace()
+                .map(|w| w.chars().flat_map(char::to_lowercase).collect())
+                .collect();
+            prop_assert_eq!(normalize(&s), words.join(" "));
         }
 
         #[test]

@@ -15,6 +15,7 @@ pub use serde_derive::{Deserialize, Serialize};
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
+use std::sync::Arc;
 
 /// A JSON-shaped value tree: the data model `Serialize`/`Deserialize`
 /// convert through.
@@ -270,6 +271,21 @@ impl<T: Deserialize> Deserialize for Box<T> {
     }
 }
 
+/// Transparent, like serde's `rc` feature: an `Arc` serializes as its
+/// value, and each deserialized `Arc` owns a fresh allocation (sharing is
+/// not preserved across a round-trip).
+impl<T: Serialize> Serialize for Arc<T> {
+    fn to_content(&self) -> Content {
+        (**self).to_content()
+    }
+}
+
+impl<T: Deserialize> Deserialize for Arc<T> {
+    fn from_content(c: &Content) -> Result<Self, ContentError> {
+        T::from_content(c).map(Arc::new)
+    }
+}
+
 impl<T: Serialize> Serialize for Vec<T> {
     fn to_content(&self) -> Content {
         Content::Seq(self.iter().map(Serialize::to_content).collect())
@@ -432,6 +448,14 @@ mod tests {
             Vec::<u64>::from_content(&vec![1u64, 2].to_content()).unwrap(),
             vec![1, 2]
         );
+    }
+
+    #[test]
+    fn arc_is_transparent() {
+        let shared = Arc::new(vec![1u64, 2]);
+        assert_eq!(shared.to_content(), vec![1u64, 2].to_content());
+        let back = Arc::<Vec<u64>>::from_content(&shared.to_content()).unwrap();
+        assert_eq!(back, shared);
     }
 
     #[test]
