@@ -842,70 +842,45 @@ impl ServeEngine {
         };
 
         let run_start = clock.wall_nanos();
-        if workers == 1 && clock.mode() == ClockMode::Virtual {
-            // Lightweight single-threaded path: a one-worker virtual-mode
-            // engine gains nothing from a pool (virtual sleeps are free
-            // and there is no overlap to exploit), so the tenant-sharded
-            // runtime's thousands of small per-tenant engines execute
-            // each admitted event on the caller thread. Counter-for-
-            // counter equivalent to a one-worker pool: injected fates,
-            // retries, quarantine and respawn bookkeeping replay the
-            // supervision loop's behavior, and the commit watermark is
-            // satisfied by construction (events finish in stream order).
-            drop(tx);
-            for i in committed..n {
+        thread::scope(|s| {
+            for _ in 0..workers {
+                s.spawn(|| self.supervise(&env));
+            }
+            // Dispatcher: feed admitted events in stream order, gated on
+            // the commit watermark.
+            for (i, &need_i) in need.iter().enumerate().skip(committed) {
                 if self.config.crash_at.is_some_and(|t| events[i].at > t) {
+                    // Simulated crash: everything from here on is lost;
+                    // in-flight work still commits (the journal prefix
+                    // stays contiguous).
                     break;
                 }
+                // Advance the clock to this arrival (and, under a pacing
+                // real clock, sleep out the inter-arrival gap) — shed
+                // events included: the alert arrived either way.
                 stream::pace(clock.as_ref(), events[i].at);
                 if plan.dispositions[i] == Disposition::Shed || fast_fail[i] {
                     continue;
                 }
-                self.execute_inline(&env, i);
+                if need_i > 0 {
+                    let mut st = lock_recovered(&state, &counters);
+                    while st.next < need_i {
+                        st = wait_recovered(&watermark, st, &counters);
+                    }
+                }
+                let depth = queue_depth.fetch_add(1, Ordering::Relaxed) + 1;
+                peak_queue.fetch_max(depth, Ordering::Relaxed);
+                if tx.send(i).is_err() {
+                    // Every worker is gone — impossible while the channel
+                    // is open under normal operation, but a counted stop
+                    // beats a dispatcher panic taking the run down.
+                    FaultCounters::bump(&counters.dispatch_failures);
+                    queue_depth.fetch_sub(1, Ordering::Relaxed);
+                    break;
+                }
             }
-        } else {
-            thread::scope(|s| {
-                for _ in 0..workers {
-                    s.spawn(|| self.supervise(&env));
-                }
-                // Dispatcher: feed admitted events in stream order, gated
-                // on the commit watermark.
-                for (i, &need_i) in need.iter().enumerate().skip(committed) {
-                    if self.config.crash_at.is_some_and(|t| events[i].at > t) {
-                        // Simulated crash: everything from here on is
-                        // lost; in-flight work still commits (the journal
-                        // prefix stays contiguous).
-                        break;
-                    }
-                    // Advance the clock to this arrival (and, under a
-                    // pacing real clock, sleep out the inter-arrival gap)
-                    // — shed events included: the alert arrived either
-                    // way.
-                    stream::pace(clock.as_ref(), events[i].at);
-                    if plan.dispositions[i] == Disposition::Shed || fast_fail[i] {
-                        continue;
-                    }
-                    if need_i > 0 {
-                        let mut st = lock_recovered(&state, &counters);
-                        while st.next < need_i {
-                            st = wait_recovered(&watermark, st, &counters);
-                        }
-                    }
-                    let depth = queue_depth.fetch_add(1, Ordering::Relaxed) + 1;
-                    peak_queue.fetch_max(depth, Ordering::Relaxed);
-                    if tx.send(i).is_err() {
-                        // Every worker is gone — impossible while the
-                        // channel is open under normal operation, but a
-                        // counted stop beats a dispatcher panic taking
-                        // the run down.
-                        FaultCounters::bump(&counters.dispatch_failures);
-                        queue_depth.fetch_sub(1, Ordering::Relaxed);
-                        break;
-                    }
-                }
-                drop(tx);
-            });
-        }
+            drop(tx);
+        });
         let wall = match clock.mode() {
             ClockMode::Virtual => None,
             ClockMode::Real => Some(WallStats::from_latencies(
@@ -1100,69 +1075,6 @@ impl ServeEngine {
                     }
                     in_flight.take();
                 }
-            }
-        }
-    }
-
-    /// Runs one admitted event to completion on the caller thread — the
-    /// single-worker virtual-mode fast path. Each attempt rolls against
-    /// the fault plan exactly as [`ServeEngine::worker_loop`] would; a
-    /// panic fate (injected or organic, caught by `catch_unwind` like the
-    /// pool's supervisor) books the kill/respawn pair and consults the
-    /// ledger, stalls burn their modeled stage cost through the clock,
-    /// and retries loop here instead of re-entering a queue. The event
-    /// leaves this function committed: either a prediction record or a
-    /// quarantined dead letter.
-    fn execute_inline(&self, env: &WorkerEnv<'_>, i: usize) {
-        let counters = env.ctx.counters;
-        loop {
-            let attempt = env.ledger.begin_attempt(i);
-            let seq = env.ctx.events[i].seq;
-            let fate = env.plan.decide(seq, attempt);
-            let killed = match fate {
-                WorkerFault::Panic { .. } => true,
-                WorkerFault::Stall { stage } => {
-                    FaultCounters::bump(&counters.injected_stalls);
-                    let degraded = env.ctx.plan.dispositions[i] == Disposition::Degraded;
-                    env.ctx.clock.sleep(SimDuration::from_secs(
-                        env.ctx.costs[i].stage_secs(stage.name(), degraded),
-                    ));
-                    self.attempt_lost(env, i);
-                    false
-                }
-                WorkerFault::Transient { .. } => {
-                    FaultCounters::bump(&counters.injected_errors);
-                    self.attempt_lost(env, i);
-                    false
-                }
-                WorkerFault::None => {
-                    match catch_unwind(AssertUnwindSafe(|| self.process_event(env.ctx, i))) {
-                        Ok(slot) => {
-                            commit(env, i, slot);
-                            false
-                        }
-                        Err(_) => true,
-                    }
-                }
-            };
-            if killed {
-                // The pool path would let the panic unwind into
-                // `supervise`; inline, the same bookkeeping applies
-                // without tearing a thread down.
-                FaultCounters::bump(&counters.worker_panics);
-                FaultCounters::bump(&counters.worker_respawns);
-                match env.ledger.record_kill(i) {
-                    Verdict::Retry => env.retry.push(i, counters),
-                    Verdict::Quarantine { kills, attempts } => {
-                        self.quarantine(env, i, kills, attempts);
-                    }
-                }
-                respawn_backoff(env.ctx.clock);
-            }
-            // A lost attempt re-queued this event; a commit (prediction
-            // or quarantine) queued nothing and we are done.
-            if env.retry.pop(counters).is_none() {
-                return;
             }
         }
     }

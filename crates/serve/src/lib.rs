@@ -73,9 +73,8 @@
 //!
 //! The topmost layer is **multi-tenancy as a robustness boundary**
 //! ([`tenant`]): each tenant (OCE team) gets a weighted fair share of
-//! admission capacity ([`admission::AdmissionConfig::share`]) and of the
-//! worker pool (deficit round robin, [`vmetrics::simulate_drr`]), its own
-//! attempt ledger and optional planned circuit breaker
+//! admission capacity ([`admission::AdmissionConfig::share`]), its own
+//! engine run, attempt ledger and optional planned circuit breaker
 //! ([`engine::BreakerConfig`]), namespaced memo caches
 //! (`rcacopilot_core::memo::NamespacedMemo`), and a tenant-tagged WAL
 //! stream with independent per-tenant recovery
@@ -141,5 +140,5 @@ pub use supervisor::{AttemptLedger, RetryQueue, Verdict};
 pub use tenant::{
     MultiTenantConfig, MultiTenantEngine, MultiTenantOutcome, TenantError, TenantRun, TenantSpec,
 };
-pub use vmetrics::{simulate_drr, DrrJob, DrrStats, ExecStats, FaultCounters, VirtualHistogram};
+pub use vmetrics::{FaultCounters, VirtualHistogram};
 pub use wal::{QuarantinedRecord, Recovery, WalError, WalRecord, WriteAheadLog};

@@ -3,9 +3,9 @@
 //! The paper's deployment serves 30+ OCE teams through one pipeline
 //! (Table 4). This module makes tenancy a first-class robustness
 //! boundary for the serving plane: each tenant gets its own stream, its
-//! own fault climate, a weighted share of the pool, and hard bulkheads —
-//! so one team's flapping monitor storm cannot starve, corrupt, or slow
-//! another team's triage.
+//! own fault climate, a weighted share of admission capacity, and hard
+//! bulkheads — so one team's flapping monitor storm cannot shed, corrupt
+//! or change another team's triage.
 //!
 //! **Architecture: composition, not a shared dispatcher.** A
 //! [`MultiTenantEngine`] run composes one single-tenant [`ServeEngine`]
@@ -25,9 +25,8 @@
 //! Because a solo baseline run uses the *same* derived config over the
 //! *same* incident slice, every tenant's prediction log in a merged run
 //! is byte-identical to its solo run **by construction** — the strongest
-//! possible noisy-neighbor isolation guarantee, verified across worker,
-//! shard-count and scheduler geometries by the `serve_tenants` proptest
-//! suite.
+//! possible noisy-neighbor isolation guarantee, verified across worker
+//! and shard-count geometries by the `serve_tenants` proptest suite.
 //!
 //! **The tenant-sharded scheduler.** Tenant runs are independent by the
 //! isolation argument above, so the plane scales by *sharding tenants*,
@@ -46,19 +45,16 @@
 //! is byte-identical at any shard count** — the sharding only changes
 //! which thread computes each tenant's (deterministic) run.
 //!
-//! What *is* shared — the worker pool — is modeled in virtual time for
-//! the plane report's `pool` sections: [`simulate_drr`] schedules every
-//! tenant's admitted work over the shared pool under deficit round robin
-//! (weights = fair shares, per-tenant in-flight caps = bulkheads),
-//! yielding deterministic merged and per-tenant latency statistics of
-//! the modeled stage costs. Wall-clock numbers come from real runs.
+//! There is no shared worker pool to schedule: each tenant's engine runs
+//! its own supervised workers ([`MultiTenantConfig::tenant_workers`]) to
+//! completion inside its shard. The plane report therefore carries
+//! per-tenant admission and outcome counts, not a modeled schedule;
+//! wall-clock numbers come from real runs.
 
 use crate::clock::{Clock, ClockConfig, VirtualClock};
-use crate::cost;
 use crate::engine::{EngineConfig, EventOutcome, EventRecord, ServeEngine, ServeOutcome};
 use crate::fault::WorkerFaultConfig;
 use crate::stream::{ArrivalModel, StreamConfig};
-use crate::vmetrics::{simulate_drr, DrrJob, DrrStats};
 use crate::wal::{WalError, WriteAheadLog};
 use rcacopilot_core::plan::PlanCaches;
 use rcacopilot_core::RcaCopilot;
@@ -76,6 +72,9 @@ pub enum TenantError {
     EmptySpecs,
     /// Two specs named the same tenant.
     DuplicateTenant(TenantId),
+    /// A tenant's weight was zero, or adding it pushed the plane's total
+    /// weight past `u32::MAX` (the first such tenant in spec order).
+    BadWeight(TenantId),
     /// The incident slices don't align with the specs.
     PartMismatch {
         /// Number of tenant specs.
@@ -92,6 +91,12 @@ impl fmt::Display for TenantError {
         match self {
             TenantError::EmptySpecs => write!(f, "need at least one tenant spec"),
             TenantError::DuplicateTenant(t) => write!(f, "duplicate tenant id {}", t.0),
+            TenantError::BadWeight(t) => write!(
+                f,
+                "tenant {}: weights must be positive and sum to at most {}",
+                t.0,
+                u32::MAX
+            ),
             TenantError::PartMismatch { specs, parts } => write!(
                 f,
                 "one incident slice per tenant spec ({specs} specs, {parts} slices)"
@@ -117,19 +122,18 @@ impl From<WalError> for TenantError {
 }
 
 /// One tenant's serving-side contract: identity, fair-share weight,
-/// stream shape, fault climate, and bulkhead cap.
+/// stream shape and fault climate.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TenantSpec {
     /// The tenant.
     pub tenant: TenantId,
-    /// Fair-share weight (admission capacity fraction and DRR credit).
+    /// Fair-share weight: the tenant's fraction of admission capacity
+    /// is `weight / Σ weights`. Must be positive.
     pub weight: u32,
     /// The tenant's alert-stream configuration.
     pub stream: StreamConfig,
     /// The tenant's worker-fault climate.
     pub faults: WorkerFaultConfig,
-    /// In-flight bulkhead cap in the shared pool (`None` = pool-bounded).
-    pub in_flight_cap: Option<usize>,
 }
 
 impl TenantSpec {
@@ -163,7 +167,6 @@ impl TenantSpec {
                 stall_per_mille: plan.stall_per_mille,
                 error_per_mille: plan.error_per_mille,
             },
-            in_flight_cap: plan.in_flight_cap,
         }
     }
 }
@@ -176,20 +179,16 @@ pub struct MultiTenantConfig {
     /// [`MultiTenantEngine::tenant_engine_config`]; everything else
     /// (workers, shards, index mode, thresholds, breaker, …) is shared.
     pub base: EngineConfig,
-    /// DRR quantum (virtual seconds of service credited per visit per
-    /// unit weight) for the shared-pool schedule.
-    pub quantum_secs: u64,
-    /// Tenant-shard workers running the per-tenant engines (1 = the
-    /// sequential legacy composition, on the caller thread). Tenants
-    /// deal round-robin to shards by spec slot; every output is
-    /// byte-identical at any value.
+    /// Tenant-shard threads running the per-tenant engines (1 = every
+    /// tenant in turn on one shard). Tenants deal round-robin to shards
+    /// by spec slot; every output is byte-identical at any value.
     pub shards: usize,
     /// Per-tenant engine worker override (`None` = inherit
-    /// `base.workers`). `Some(1)` selects the engine's inline
-    /// single-threaded path — the right choice when thousands of small
-    /// tenant engines run inside shard workers, where nested pools
-    /// would only add thread churn. Prediction logs are worker-count
-    /// independent, so this never changes a tenant's log.
+    /// `base.workers`). `Some(1)` gives each tenant engine one worker
+    /// thread — the right choice when many small tenant engines run
+    /// inside shard threads, where larger nested pools would only add
+    /// thread churn. Prediction logs are worker-count independent, so
+    /// this never changes a tenant's log.
     pub tenant_workers: Option<usize>,
     /// Cardinality cap installed on the metrics registry's `tenant`
     /// label before the run (0 = unlimited). The plane pre-admits its
@@ -204,7 +203,6 @@ impl Default for MultiTenantConfig {
     fn default() -> Self {
         MultiTenantConfig {
             base: EngineConfig::default(),
-            quantum_secs: 60,
             shards: 1,
             tenant_workers: None,
             metrics_tenant_cap: 0,
@@ -234,16 +232,12 @@ pub struct MultiTenantOutcome {
     /// `(arrival, tenant, seq)` — the canonical deterministic transcript
     /// of the whole plane.
     pub log: String,
-    /// Shared-pool deficit-round-robin schedule statistics: the merged
-    /// pool view plus per-tenant latency/wait stats under fair-share
-    /// scheduling with bulkhead caps.
-    pub drr: DrrStats,
     /// The plane-wide virtual horizon: the furthest arrival instant any
     /// tenant's dispatcher planned to, read off the shared plane clock
     /// (0 under a real clock, where the horizon is wall time).
     pub horizon_secs: u64,
-    /// JSON report: per-tenant admission/fault summaries plus the DRR
-    /// pool statistics and the plane/scheduler section.
+    /// JSON report: per-tenant outcome counts, the plane section, and
+    /// the adopted journal's durability state when journaling.
     pub report: Value,
 }
 
@@ -262,8 +256,8 @@ struct TenantTask<'a> {
 }
 
 /// The multi-tenant serving plane: a trained pipeline fanned out into
-/// one bulkheaded [`ServeEngine`] per tenant, scheduled over
-/// [`MultiTenantConfig::shards`] shard workers.
+/// one bulkheaded [`ServeEngine`] per tenant, dealt over
+/// [`MultiTenantConfig::shards`] shard threads.
 #[derive(Debug)]
 pub struct MultiTenantEngine {
     copilot: Arc<RcaCopilot>,
@@ -277,7 +271,9 @@ impl MultiTenantEngine {
     /// # Errors
     ///
     /// [`TenantError::EmptySpecs`] on an empty spec list,
-    /// [`TenantError::DuplicateTenant`] on a repeated tenant id.
+    /// [`TenantError::DuplicateTenant`] on a repeated tenant id,
+    /// [`TenantError::BadWeight`] on a zero weight or weights summing
+    /// past `u32::MAX`.
     pub fn new(
         copilot: RcaCopilot,
         config: MultiTenantConfig,
@@ -300,10 +296,15 @@ impl MultiTenantEngine {
         if specs.is_empty() {
             return Err(TenantError::EmptySpecs);
         }
+        let mut total = 0u32;
         for (i, a) in specs.iter().enumerate() {
             if specs[..i].iter().any(|b| b.tenant == a.tenant) {
                 return Err(TenantError::DuplicateTenant(a.tenant));
             }
+            total = match total.checked_add(a.weight) {
+                Some(sum) if a.weight > 0 => sum,
+                _ => return Err(TenantError::BadWeight(a.tenant)),
+            };
         }
         Ok(MultiTenantEngine {
             copilot,
@@ -381,7 +382,7 @@ impl MultiTenantEngine {
 
     /// Runs every tenant over its incident slice (aligned with
     /// [`MultiTenantEngine::specs`]) and composes the merged transcript
-    /// and the shared-pool DRR statistics.
+    /// and the plane report.
     ///
     /// # Errors
     ///
@@ -390,7 +391,7 @@ impl MultiTenantEngine {
     pub fn run(&self, parts: &[Vec<Incident>]) -> Result<MultiTenantOutcome, TenantError> {
         self.check_parts(parts)?;
         let (outcomes, horizon_secs) = self.run_tenants(parts, None)?;
-        Ok(self.compose(outcomes, parts, None, horizon_secs))
+        Ok(self.compose(outcomes, None, horizon_secs))
     }
 
     /// Like [`MultiTenantEngine::run`], but journaling through `wal`:
@@ -405,9 +406,9 @@ impl MultiTenantEngine {
     ///
     /// [`TenantError::PartMismatch`] when the slices don't align;
     /// [`TenantError::Wal`] if the journal is corrupt or any tenant's
-    /// commit prefix has a gap (the lowest-slot failure when several
-    /// shards fail — deterministic under any interleaving). On error the
-    /// parent journal is left unmodified.
+    /// commit prefix has a gap (the lowest failing slot when several
+    /// tenants fail, at any shard count). On error the parent journal is
+    /// left unmodified.
     pub fn run_with_wal(
         &self,
         parts: &[Vec<Incident>],
@@ -415,7 +416,7 @@ impl MultiTenantEngine {
     ) -> Result<MultiTenantOutcome, TenantError> {
         self.check_parts(parts)?;
         let (outcomes, horizon_secs) = self.run_tenants(parts, Some(wal))?;
-        Ok(self.compose(outcomes, parts, Some(wal), horizon_secs))
+        Ok(self.compose(outcomes, Some(wal), horizon_secs))
     }
 
     fn check_parts(&self, parts: &[Vec<Incident>]) -> Result<(), TenantError> {
@@ -486,12 +487,10 @@ impl MultiTenantEngine {
     }
 
     /// The tenant-sharded composition: deal tenants round-robin over
-    /// [`MultiTenantConfig::shards`] shard workers, run each tenant's
+    /// [`MultiTenantConfig::shards`] shard threads, run each tenant's
     /// engine over the shared plane (caches, clock, metrics), and
-    /// reassemble outcomes and journal streams in slot order. With one
-    /// shard everything runs sequentially on the caller thread — the
-    /// legacy composition, which the parallel schedule reproduces byte
-    /// for byte at any shard count.
+    /// reassemble outcomes and journal streams in slot order, so every
+    /// output is byte-identical at any shard count.
     fn run_tenants(
         &self,
         parts: &[Vec<Incident>],
@@ -515,86 +514,65 @@ impl MultiTenantEngine {
             Some(w) => w.split_tenants()?,
             None => Default::default(),
         };
-        // Per-tenant setup, amortized: each task carries borrowed spec +
-        // incidents and (when journaling) its own pre-split stream —
-        // O(1) allocations per tenant, independent of its event count.
-        let mut tasks: Vec<TenantTask<'_>> = Vec::with_capacity(self.specs.len());
+        // Round-robin deal: shard s owns slots {s, s+K, s+2K, …} and
+        // runs them in ascending slot order. Each task carries borrowed
+        // spec + incidents and (when journaling) its own pre-split
+        // stream — O(1) setup per tenant, independent of its event count.
+        let shards = self.config.shards.max(1).min(self.specs.len());
+        let mut shard_tasks: Vec<Vec<TenantTask<'_>>> = (0..shards).map(|_| Vec::new()).collect();
         for (slot, (spec, part)) in self.specs.iter().zip(parts).enumerate() {
             let twal = journaling.then(|| tenant_wals.remove(&spec.tenant).unwrap_or_default());
-            tasks.push(TenantTask {
+            shard_tasks[slot % shards].push(TenantTask {
                 slot,
                 spec,
                 part,
                 twal,
             });
         }
-        let shards = self.config.shards.max(1).min(tasks.len());
-        let mut results: Vec<Option<TenantRow>> = (0..tasks.len()).map(|_| None).collect();
-        let mut failures: Vec<(usize, WalError)> = Vec::new();
-        if shards <= 1 {
-            for task in tasks {
-                let slot = task.slot;
-                match self.run_one(&base, total, &shared, task) {
-                    Ok(row) => results[slot] = Some(row),
-                    Err(e) => {
-                        // Sequential semantics: stop at the first failing
-                        // tenant, leaving the parent journal untouched.
-                        failures.push((slot, e));
-                        break;
-                    }
-                }
-            }
-        } else {
-            // Round-robin deal: shard s owns slots {s, s+K, s+2K, …} and
-            // runs them in ascending slot order — the deterministic turn
-            // order. Shards only read shared state (pipeline, caches,
-            // clock, metrics), so their interleaving cannot reach any
-            // output; everything slot-keyed is reassembled below.
-            let mut shard_tasks: Vec<Vec<TenantTask<'_>>> =
-                (0..shards).map(|_| Vec::new()).collect();
-            for task in tasks {
-                shard_tasks[task.slot % shards].push(task);
-            }
-            let base_ref = &base;
-            let shared_ref = &shared;
-            let shard_rows: Vec<Vec<_>> = thread::scope(|scope| {
-                let handles: Vec<_> = shard_tasks
-                    .into_iter()
-                    .map(|batch| {
-                        scope.spawn(move || {
-                            batch
-                                .into_iter()
-                                .map(|task| {
-                                    let slot = task.slot;
-                                    (slot, self.run_one(base_ref, total, shared_ref, task))
-                                })
-                                .collect::<Vec<_>>()
-                        })
+        // Shards only read shared state (pipeline, caches, clock,
+        // metrics), so their interleaving cannot reach any output. A
+        // shard stops at its first failing tenant; the lowest of those
+        // slots is then the lowest failing slot overall.
+        let (base, shared) = (&base, &shared);
+        let shard_rows: Vec<_> = thread::scope(|scope| {
+            let handles: Vec<_> = shard_tasks
+                .into_iter()
+                .map(|batch| {
+                    scope.spawn(move || {
+                        batch
+                            .into_iter()
+                            .map(|task| {
+                                let slot = task.slot;
+                                self.run_one(base, total, shared, task)
+                                    .map(|row| (slot, row))
+                                    .map_err(|e| (slot, e))
+                            })
+                            .collect::<Result<Vec<_>, _>>()
                     })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| match h.join() {
-                        Ok(rows) => rows,
-                        Err(panic) => std::panic::resume_unwind(panic),
-                    })
-                    .collect()
-            });
-            for (slot, result) in shard_rows.into_iter().flatten() {
-                match result {
-                    Ok(row) => results[slot] = Some(row),
-                    Err(e) => failures.push((slot, e)),
-                }
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| match h.join() {
+                    Ok(rows) => rows,
+                    Err(panic) => std::panic::resume_unwind(panic),
+                })
+                .collect()
+        });
+        let mut rows = Vec::with_capacity(self.specs.len());
+        let mut failures = Vec::new();
+        for shard in shard_rows {
+            match shard {
+                Ok(done) => rows.extend(done),
+                Err(failure) => failures.push(failure),
             }
         }
-        // Deterministic error: the lowest failing slot, exactly what the
-        // sequential composition would have reported first.
         if let Some((_, err)) = failures.into_iter().min_by_key(|(slot, _)| *slot) {
             return Err(TenantError::Wal(err));
         }
-        let mut outcomes = Vec::with_capacity(results.len());
-        for row in results {
-            let (outcome, twal) = row.expect("every tenant slot reports exactly once");
+        rows.sort_unstable_by_key(|(slot, _)| *slot);
+        let mut outcomes = Vec::with_capacity(rows.len());
+        for (_, (outcome, twal)) in rows {
             if let Some((tenant, stream)) = twal {
                 tenant_wals.insert(tenant, stream);
             }
@@ -692,14 +670,13 @@ impl MultiTenantEngine {
         }
     }
 
-    /// Merges per-tenant outcomes into the plane-wide transcript, DRR
-    /// schedule and report. `wal` is the adopted parent journal, whose
-    /// durability state (sink health, quarantine, `ENOSPC` pauses) is
-    /// surfaced plane-wide in the report.
+    /// Merges per-tenant outcomes into the plane-wide transcript and
+    /// report. `wal` is the adopted parent journal, whose durability
+    /// state (sink health, quarantine, `ENOSPC` pauses) is surfaced
+    /// plane-wide in the report.
     fn compose(
         &self,
         outcomes: Vec<ServeOutcome>,
-        parts: &[Vec<Incident>],
         wal: Option<&WriteAheadLog>,
         horizon_secs: u64,
     ) -> MultiTenantOutcome {
@@ -715,66 +692,17 @@ impl MultiTenantEngine {
             log.push('\n');
         }
         self.export_plane_metrics(&outcomes);
-        // Shared-pool DRR schedule over every executed event. Costs are
-        // re-derived from the shared ex-ante model, so the schedule is
-        // as deterministic as the logs. Shed and breaker-fast-failed
-        // events never reach the pool.
-        let weights: Vec<u32> = self.specs.iter().map(|s| s.weight).collect();
-        let caps: Vec<Option<usize>> = self.specs.iter().map(|s| s.in_flight_cap).collect();
-        let mut jobs: Vec<(u64, usize, u64)> = Vec::new();
-        for (slot, outcome) in outcomes.iter().enumerate() {
-            for r in &outcome.records {
-                let alert = &parts[slot][r.incident_idx].alert;
-                let c = cost::estimate(alert, self.config.base.cost_seed);
-                let service = match &r.outcome {
-                    EventOutcome::Shed { .. } => continue,
-                    EventOutcome::Predicted { degraded, .. } => {
-                        if *degraded {
-                            c.degraded_total()
-                        } else {
-                            c.total()
-                        }
-                    }
-                    EventOutcome::Failed { reason } => {
-                        if reason.contains("circuit open") {
-                            // Fast-failed: never dispatched, no pool work.
-                            continue;
-                        }
-                        c.total()
-                    }
-                };
-                jobs.push((r.at.as_secs(), slot, service));
-            }
-        }
-        jobs.sort_unstable();
-        let jobs: Vec<DrrJob> = jobs
-            .into_iter()
-            .map(|(arrival_secs, tenant_slot, service_secs)| DrrJob {
-                tenant_slot,
-                arrival_secs,
-                service_secs,
-            })
-            .collect();
-        let drr = simulate_drr(
-            &jobs,
-            self.config.base.workers.max(1),
-            &weights,
-            self.config.quantum_secs,
-            &caps,
-        );
         let tenant_reports: Vec<Value> = self
             .specs
             .iter()
             .zip(&outcomes)
-            .zip(&drr.per_tenant)
-            .map(|((spec, o), exec)| {
+            .map(|(spec, o)| {
                 let count = |pred: &dyn Fn(&EventOutcome) -> bool| {
                     o.records.iter().filter(|r| pred(&r.outcome)).count()
                 };
                 json!({
                     "tenant": spec.tenant.0,
                     "weight": spec.weight,
-                    "in_flight_cap": spec.in_flight_cap,
                     "events": o.records.len(),
                     "predicted": count(&|oc| matches!(oc, EventOutcome::Predicted { .. })),
                     "degraded": count(&|oc| {
@@ -782,13 +710,11 @@ impl MultiTenantEngine {
                     }),
                     "shed": count(&|oc| matches!(oc, EventOutcome::Shed { .. })),
                     "failed": count(&|oc| matches!(oc, EventOutcome::Failed { .. })),
-                    "pool": exec.to_json(),
                 })
             })
             .collect();
         let report = json!({
             "tenants": Value::Seq(tenant_reports),
-            "quantum_secs": self.config.quantum_secs,
             "plane": json!({
                 "shards": self.config.shards.max(1).min(self.specs.len()),
                 "tenant_workers": self.config.tenant_workers,
@@ -796,7 +722,6 @@ impl MultiTenantEngine {
                 "merged_events": merged.len(),
                 "horizon_secs": horizon_secs,
             }),
-            "pool": drr.merged.to_json(),
             "wal": wal.map(|w| json!({
                 "durable": w.is_durable(),
                 "paused": w.is_paused(),
@@ -821,7 +746,6 @@ impl MultiTenantEngine {
         MultiTenantOutcome {
             tenants,
             log,
-            drr,
             horizon_secs,
             report,
         }
@@ -833,6 +757,7 @@ mod tests {
     use super::*;
     use crate::admission::AdmissionConfig;
     use crate::metrics::{MetricsRegistry, OVERFLOW_LABEL_VALUE};
+    use crate::wal::WalRecord;
     use rcacopilot_core::eval::PreparedDataset;
     use rcacopilot_core::pipeline::RcaCopilotConfig;
     use rcacopilot_core::ContextSpec;
@@ -889,11 +814,9 @@ mod tests {
             }
         ));
         assert_eq!(quiet.faults.panic_per_mille, 0);
-        assert_eq!(quiet.in_flight_cap, None);
         let storm = TenantSpec::from_plan(&TenantStormPlan::flapping_storm(TenantId(2), 11));
         assert!(matches!(storm.stream.arrivals, ArrivalModel::Bursty { .. }));
         assert!(storm.faults.panic_per_mille > 0);
-        assert_eq!(storm.in_flight_cap, Some(2));
         assert!(storm.stream.reraise_prob > quiet.stream.reraise_prob);
     }
 
@@ -905,7 +828,6 @@ mod tests {
             weight: 1,
             stream: StreamConfig::replay(),
             faults: WorkerFaultConfig::disabled(),
-            in_flight_cap: None,
         };
         let cfg = MultiTenantEngine::tenant_engine_config(&base, &spec, 4, None);
         assert_eq!(cfg.tenant, TenantId(9));
@@ -932,6 +854,25 @@ mod tests {
         )
         .expect_err("duplicate tenant");
         assert!(matches!(err, TenantError::DuplicateTenant(TenantId(4))));
+        // A zero weight, or weights summing past u32::MAX, cannot price
+        // an admission share; both are refused at construction.
+        let weighted = |tenant: u64, weight: u32| TenantSpec {
+            tenant: TenantId(tenant),
+            weight,
+            ..spec
+        };
+        for (specs, bad) in [
+            (vec![weighted(1, 0), weighted(2, 1)], TenantId(1)),
+            (vec![weighted(1, u32::MAX), weighted(2, 2)], TenantId(2)),
+        ] {
+            let err = MultiTenantEngine::new(copilot.clone(), MultiTenantConfig::default(), specs)
+                .expect_err("bad weights");
+            assert!(
+                matches!(err, TenantError::BadWeight(t) if t == bad),
+                "{err:?}"
+            );
+            assert!(err.to_string().contains("weights must be positive"));
+        }
         // Misaligned parts are an error, not a panic.
         let plane =
             MultiTenantEngine::new(copilot, MultiTenantConfig::default(), vec![spec]).unwrap();
@@ -994,16 +935,6 @@ mod tests {
             out.tenants
                 .iter()
                 .map(|t| t.outcome.records.len())
-                .sum::<usize>()
-        );
-        // The DRR schedule covers every executed event, split per slot.
-        assert_eq!(out.drr.per_tenant.len(), 2);
-        assert_eq!(
-            out.drr.merged.completed,
-            out.drr
-                .per_tenant
-                .iter()
-                .map(|e| e.completed)
                 .sum::<usize>()
         );
     }
@@ -1138,5 +1069,64 @@ mod tests {
             .run_with_wal(&parts, &mut wal.clone())
             .expect("clean journal");
         assert_eq!(out2.log, out.log);
+    }
+
+    #[test]
+    fn journal_gaps_fail_at_the_lowest_slot_and_leave_the_journal_untouched() {
+        let (copilot, incidents) = trained_copilot();
+        let copilot = Arc::new(copilot);
+        let plans: Vec<TenantStormPlan> = (1..=4)
+            .map(|t| TenantStormPlan::quiet(TenantId(t), 60 + t))
+            .collect();
+        let parts = partition_tenants(&incidents, &plans);
+        let plane = |shards: usize| {
+            let config = MultiTenantConfig {
+                base: EngineConfig {
+                    admission: AdmissionConfig::unbounded(),
+                    ..EngineConfig::default()
+                },
+                shards,
+                ..MultiTenantConfig::default()
+            };
+            MultiTenantEngine::from_plans_shared(Arc::clone(&copilot), config, &plans).unwrap()
+        };
+        let mut clean = WriteAheadLog::new();
+        plane(1)
+            .run_with_wal(&parts, &mut clean)
+            .expect("clean journal");
+        // Drop commit 1 of slot 1 (tenant 2) and commit 0 of slot 2
+        // (tenant 3): each stream now has a gap with its own `expected`.
+        // Appending keeps the gaps; loading would prune them.
+        let mut gapped = WriteAheadLog::new();
+        for rec in clean.records().expect("parseable journal") {
+            let dropped = matches!(
+                &rec,
+                WalRecord::Commit { seq, record, .. }
+                    if (record.tenant, *seq) == (TenantId(2), 1)
+                        || (record.tenant, *seq) == (TenantId(3), 0)
+            );
+            if !dropped {
+                gapped.append(&rec);
+            }
+        }
+        let before = gapped.serialized();
+        // One shard stops at slot 1; two and three shards each fail in
+        // two shards at once, and the lower slot's error still wins.
+        for shards in [1usize, 2, 3] {
+            let err = plane(shards)
+                .run_with_wal(&parts, &mut gapped)
+                .expect_err("gapped journal");
+            assert!(
+                matches!(
+                    err,
+                    TenantError::Wal(WalError::Gap {
+                        expected: 1,
+                        found: 2
+                    })
+                ),
+                "{shards} shards: {err:?}"
+            );
+            assert_eq!(gapped.serialized(), before, "{shards} shards");
+        }
     }
 }

@@ -18,15 +18,15 @@ use crate::incident::Incident;
 use rcacopilot_telemetry::ids::TenantId;
 
 /// One tenant's workload description: stream shape, fault climate, and
-/// scheduling weight. Pure data — no behavior beyond constructors — so
+/// fair-share weight. Pure data — no behavior beyond constructors — so
 /// the serving plane can translate it into its own config types without
 /// a dependency cycle.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TenantStormPlan {
     /// The tenant this plan describes.
     pub tenant: TenantId,
-    /// Fair-share weight (relative admission capacity and DRR quantum
-    /// credit). Must be positive.
+    /// Fair-share weight (relative admission capacity). Must be
+    /// positive.
     pub weight: u32,
     /// Seed of the tenant's arrival process.
     pub stream_seed: u64,
@@ -48,9 +48,6 @@ pub struct TenantStormPlan {
     pub stall_per_mille: u16,
     /// Per-mille transient-error rate.
     pub error_per_mille: u16,
-    /// Bulkhead cap on this tenant's concurrently executing events in
-    /// the shared pool (`None` = bounded only by the pool).
-    pub in_flight_cap: Option<usize>,
 }
 
 impl TenantStormPlan {
@@ -70,13 +67,12 @@ impl TenantStormPlan {
             panic_per_mille: 0,
             stall_per_mille: 0,
             error_per_mille: 0,
-            in_flight_cap: None,
         }
     }
 
     /// The noisy neighbor: a flapping monitor storm (dense bursts, heavy
     /// re-raises) whose events also hit a ~30% worker-fault rate — the
-    /// ISSUE's poison-pill climate that the bulkheads must contain.
+    /// poison-pill climate that the bulkheads must contain.
     pub fn flapping_storm(tenant: TenantId, seed: u64) -> Self {
         TenantStormPlan {
             tenant,
@@ -91,7 +87,6 @@ impl TenantStormPlan {
             panic_per_mille: 120,
             stall_per_mille: 100,
             error_per_mille: 80,
-            in_flight_cap: Some(2),
         }
     }
 
@@ -104,9 +99,10 @@ impl TenantStormPlan {
     }
 }
 
-/// Parameters of a heavy-tailed tenant fleet — the thousand-stream
-/// workload of the tenant-sharded runtime benchmarks. Tenant weights and
-/// event volumes both follow a Zipf law over rank (`score(r) ∝ 1/(r+1)^s`,
+/// Parameters of a heavy-tailed tenant fleet — the many-stream workload
+/// of the tenant-sharded runtime (rcabench's `tenant_fleet`, the
+/// `serve_multitenant` example). Tenant weights and event volumes both
+/// follow a Zipf law over rank (`score(r) ∝ 1/(r+1)^s`,
 /// rank 0 the heaviest), which is how per-team alert volume is
 /// distributed in the paper's deployment: a few teams generate most of
 /// the traffic, a long tail barely any.
@@ -121,8 +117,8 @@ pub struct TenantFleetConfig {
     /// Total event volume distributed over the fleet.
     pub total_events: usize,
     /// Cap on any single tenant's share of `total_events` (e.g. 1/16).
-    /// Keeps the head tenant from dominating a shard, which is what
-    /// makes shard throughput monotone in the shard count.
+    /// Keeps the head tenant from holding most of the fleet's events,
+    /// and so most of one shard's work.
     pub max_share: f64,
     /// Fraction of tenants (drawn deterministically from `seed`) that
     /// run the [`TenantStormPlan::flapping_storm`] climate.
@@ -352,7 +348,6 @@ mod tests {
         assert_eq!(storm.total_fault_per_mille(), 300);
         assert!(storm.burst_prob > quiet.burst_prob);
         assert!(storm.mean_gap_secs < quiet.mean_gap_secs);
-        assert!(storm.in_flight_cap.is_some(), "the noisy tenant is capped");
     }
 
     #[test]

@@ -44,8 +44,7 @@ fn main() {
 
     // 2. Describe the tenants: three well-behaved teams and one noisy
     //    neighbor whose monitors flap and whose events poison workers.
-    //    The storm plan carries a bulkhead cap (2 in-flight) and the same
-    //    fair-share weight as everyone else.
+    //    The storm plan has the same fair-share weight as everyone else.
     let plans = [
         TenantStormPlan::quiet(TenantId(1), 11),
         TenantStormPlan::quiet(TenantId(2), 12),
@@ -61,8 +60,8 @@ fn main() {
     );
 
     // 3. Run the shared plane: per-tenant fair-share admission, tenant-
-    //    namespaced caches, per-tenant circuit breakers, and a DRR-
-    //    scheduled worker pool with the storm bulkhead-capped.
+    //    namespaced caches, and a circuit breaker per tenant, each tenant
+    //    on its own engine.
     let config = MultiTenantConfig {
         base: EngineConfig {
             workers: 4,
@@ -142,16 +141,6 @@ fn main() {
         );
     }
 
-    println!(
-        "\nShared pool (DRR, quantum {}s): {} jobs, makespan {}s, \
-         latency p50 {}s p99 {}s, peak queue depth {}.",
-        config.quantum_secs,
-        out.drr.merged.completed,
-        out.drr.merged.makespan_secs,
-        out.drr.merged.latencies.percentile(0.50),
-        out.drr.merged.latencies.percentile(0.99),
-        out.drr.merged.peak_queue_depth,
-    );
     println!("\nFirst few lines of the merged tenant-tagged prediction log:");
     for line in out.log.lines().take(5) {
         println!("  {line}");
