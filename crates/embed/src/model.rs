@@ -76,10 +76,20 @@ impl FastTextModel {
         }
         let mut output = vec![0.0f32; labels.len() * dim];
 
-        // Pre-extract features once.
-        let docs: Vec<(Vec<usize>, usize)> = examples
+        // Pre-extract features once. They live through every epoch, so
+        // each document keeps an exact-size `u32` slice rather than the
+        // push-grown `usize` vector `extract` returns (half the bytes per
+        // id, and no spare capacity).
+        let docs: Vec<(Box<[u32]>, usize)> = examples
             .iter()
-            .map(|(text, label)| (config.features.extract(text), label_ids[label.as_str()]))
+            .map(|(text, label)| {
+                let feats = config
+                    .features
+                    .extract(text)
+                    .into_iter()
+                    .map(|f| u32::try_from(f).expect("feature bucket ids fit in u32"));
+                (feats.collect(), label_ids[label.as_str()])
+            })
             .collect();
 
         let total_steps = (config.epochs * docs.len()).max(1) as f64;
@@ -106,7 +116,8 @@ impl FastTextModel {
 
                 // Forward: hidden = mean of feature embeddings.
                 hidden.iter_mut().for_each(|h| *h = 0.0);
-                for &f in feats {
+                for &f in feats.iter() {
+                    let f = f as usize;
                     let row = &input[f * dim..(f + 1) * dim];
                     for (h, w) in hidden.iter_mut().zip(row) {
                         *h += w;
@@ -133,7 +144,8 @@ impl FastTextModel {
                     }
                 }
                 let scale = inv;
-                for &f in feats {
+                for &f in feats.iter() {
+                    let f = f as usize;
                     let row = &mut input[f * dim..(f + 1) * dim];
                     for d in 0..dim {
                         row[d] -= grad[d] * scale;

@@ -13,13 +13,20 @@
 //! GPT-3.5 and GPT-4; if even the best option scores below the profile's
 //! threshold the engine answers "Unseen incident" and synthesizes a new
 //! category label (Figure 11).
+//!
+//! Each call reads every prompt text once: one canonical form
+//! (`normalize(mask_entities(text))`), a hashed trigram profile, and
+//! entities and evidence terms borrowed from the text and its canonical
+//! form. [`salient_entities`] and [`evidence_terms`] are the text-based
+//! definitions those readings reproduce.
 
-use crate::labelgen::{camelcase_entities, synthesize_label};
+use crate::labelgen::{camelcase_entities, is_camelcase_entity, synthesize_label};
 use crate::profile::ModelProfile;
 use crate::prompt::PredictionPrompt;
-use rcacopilot_textkit::ngram::hash_token;
+use rcacopilot_textkit::ngram::Fnv1a;
 use rcacopilot_textkit::normalize::{mask_entities, normalize};
-use std::collections::{BTreeMap, BTreeSet};
+use std::cmp::Ordering;
+use std::collections::BTreeSet;
 
 /// The engine's answer to a prediction prompt.
 #[derive(Debug, Clone, PartialEq)]
@@ -57,12 +64,15 @@ impl CotEngine {
     /// — the engine's "reasoning trace", exposed for debugging and for
     /// explanation tooling.
     pub fn option_scores(&self, prompt: &PredictionPrompt<'_>) -> Vec<(f64, f64, f64, f64)> {
-        score_options(prompt)
+        let canons: Vec<String> = prompt_texts(prompt).map(canonical).collect();
+        let (query, options) = read_prompt(prompt, &canons);
+        score_options(&query, &options)
     }
 
     /// Answers a prediction prompt.
     pub fn predict(&self, prompt: &PredictionPrompt<'_>) -> Prediction {
-        let query_ents = salient_entities(&prompt.input);
+        let canons: Vec<String> = prompt_texts(prompt).map(canonical).collect();
+        let (query, options) = read_prompt(prompt, &canons);
 
         // Long prompts degrade a real LLM's reading fidelity
         // ("lost in the middle"); scoring noise grows with the amount of
@@ -83,7 +93,7 @@ impl CotEngine {
 
         // Long prompts degrade reading fidelity (see `length_factor`
         // above); contrastive per-option scores come from a shared helper.
-        let scores = score_options(prompt);
+        let scores = score_options(&query, &options);
         let mut best: Option<(usize, f64, f64)> = None; // (idx, noisy, clean)
         for (i, &(clean, _, _, _)) in scores.iter().enumerate() {
             let noisy = clean + self.noise_for(&prompt.input, i) * length_factor;
@@ -104,9 +114,8 @@ impl CotEngine {
                 if noisy >= self.profile.unseen_threshold() && !best_is_generic =>
             {
                 let option = &prompt.options[idx];
-                let shared: Vec<String> = query_ents
-                    .intersection(&salient_entities(&option.summary))
-                    .cloned()
+                let shared: Vec<&str> = merge_join(&query.entities, &options[idx].entities, |e| *e)
+                    .map(|(e, _)| *e)
                     .collect();
                 let explanation = explain_match(&option.category, &shared, &prompt.input);
                 Prediction {
@@ -138,16 +147,89 @@ impl CotEngine {
         if sigma == 0.0 {
             return 0.0;
         }
-        // Sum of three uniforms approximates a Gaussian (Irwin–Hall).
+        // Sum of three uniforms approximates a Gaussian (Irwin–Hall). Each
+        // draw hashes `"{seed}|{option_index}|{salt}|{input}"`; the input
+        // is fed to the hasher after the short key, not copied into it.
         let mut acc = 0.0;
         for salt in 0..3u64 {
-            let h = hash_token(&format!(
-                "{}|{}|{}|{}",
-                self.seed, option_index, salt, input
-            ));
-            acc += (h % 1_000_000) as f64 / 1_000_000.0 - 0.5;
+            let mut h = Fnv1a::new();
+            h.write(format!("{}|{}|{}|", self.seed, option_index, salt).as_bytes());
+            h.write(input.as_bytes());
+            acc += (h.finish() % 1_000_000) as f64 / 1_000_000.0 - 0.5;
         }
         acc * sigma * 2.0
+    }
+}
+
+/// The prompt's texts in reading order: the input, then each option's
+/// summary.
+fn prompt_texts<'p>(prompt: &'p PredictionPrompt<'_>) -> impl Iterator<Item = &'p str> {
+    std::iter::once(&*prompt.input).chain(prompt.options.iter().map(|o| &*o.summary))
+}
+
+/// The canonical form every text feature but the entities is read from.
+fn canonical(text: &str) -> String {
+    normalize(&mask_entities(text))
+}
+
+/// Reads the input and every option once. `canons` holds the canonical
+/// forms of [`prompt_texts`], in that order.
+fn read_prompt<'t>(
+    prompt: &'t PredictionPrompt<'_>,
+    canons: &'t [String],
+) -> (Reading<'t>, Vec<Reading<'t>>) {
+    let mut readings = prompt_texts(prompt)
+        .zip(canons)
+        .map(|(text, canon)| Reading::new(text, canon));
+    let query = readings.next().expect("a prompt always has an input");
+    (query, readings.collect())
+}
+
+/// What scoring needs of one text, computed once per call.
+struct Reading<'t> {
+    /// Character-trigram profile: `(hash, count)` in ascending hash order.
+    trigrams: Vec<(u64, u32)>,
+    /// Euclidean norm of the trigram counts.
+    norm: f64,
+    /// [`salient_entities`], sorted and deduplicated.
+    entities: Vec<&'t str>,
+    /// [`evidence_terms`], sorted and deduplicated.
+    terms: Vec<&'t str>,
+}
+
+impl<'t> Reading<'t> {
+    /// Reads `text`, whose canonical form is `canon`.
+    fn new(text: &'t str, canon: &'t str) -> Self {
+        let trigrams = trigram_counts(canon);
+        let norm = trigrams
+            .iter()
+            .map(|&(_, n)| f64::from(n) * f64::from(n))
+            .sum::<f64>()
+            .sqrt();
+        let mut entities: Vec<&str> = text
+            .split(|c: char| !c.is_ascii_alphanumeric())
+            .filter(|tok| is_camelcase_entity(tok))
+            .chain(
+                text.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+                    .filter(|tok| is_caps_or_snake_entity(tok)),
+            )
+            .collect();
+        entities.sort_unstable();
+        entities.dedup();
+        let mut terms = entities.clone();
+        terms.extend(
+            canon
+                .split(|c: char| !c.is_ascii_alphanumeric())
+                .filter(|tok| tok.len() >= 5 && tok.bytes().all(|b| b.is_ascii_lowercase())),
+        );
+        terms.sort_unstable();
+        terms.dedup();
+        Reading {
+            trigrams,
+            norm,
+            entities,
+            terms,
+        }
     }
 }
 
@@ -157,56 +239,48 @@ impl CotEngine {
 /// multiple-choice prompt: evidence terms that appear in more than one
 /// option cannot discriminate, so only each option's *unique* terms count,
 /// matched against the query's own non-boilerplate terms.
-fn score_options(prompt: &PredictionPrompt<'_>) -> Vec<(f64, f64, f64, f64)> {
-    let query_tri = trigram_profile(&prompt.input);
-    let query_ents = salient_entities(&prompt.input);
-    let query_terms = evidence_terms(&prompt.input);
-    let option_terms: Vec<BTreeSet<String>> = prompt
-        .options
+fn score_options(query: &Reading<'_>, options: &[Reading<'_>]) -> Vec<(f64, f64, f64, f64)> {
+    // Terms present in more than one option are non-discriminative: an
+    // option's unique terms are those no other option has, and the
+    // query's distinct terms those that at most one option has. Every
+    // `(term, option)` pair sorted once groups each term with the options
+    // that have it, lowest option first.
+    let mut owners: Vec<(&str, usize)> = options
         .iter()
-        .map(|o| evidence_terms(&o.summary))
+        .enumerate()
+        .flat_map(|(i, opt)| opt.terms.iter().map(move |&t| (t, i)))
         .collect();
-    let mut term_counts: BTreeMap<&str, usize> = BTreeMap::new();
-    for terms in &option_terms {
-        for t in terms {
-            *term_counts.entry(t.as_str()).or_insert(0) += 1;
+    owners.sort_unstable();
+    let mut unique = vec![0usize; options.len()];
+    let mut inter = vec![0usize; options.len()];
+    let mut query_distinct = query.terms.len();
+    let mut query_terms = query.terms.iter().peekable();
+    for group in owners.chunk_by(|a, b| a.0 == b.0) {
+        let (term, first) = group[0];
+        while query_terms.next_if(|&&t| t < term).is_some() {}
+        let in_query = query_terms.next_if(|&&t| t == term).is_some();
+        if group.len() == 1 {
+            unique[first] += 1;
+            inter[first] += usize::from(in_query);
+        } else if in_query {
+            query_distinct -= 1;
         }
     }
-    // Terms present in more than one option are non-discriminative.
-    let shared: BTreeSet<&str> = term_counts
-        .iter()
-        .filter(|(_, &c)| c > 1)
-        .map(|(&t, _)| t)
-        .collect();
-    let query_distinct: BTreeSet<&str> = query_terms
-        .iter()
-        .map(String::as_str)
-        .filter(|t| !shared.contains(t))
-        .collect();
 
-    prompt
-        .options
+    options
         .iter()
         .enumerate()
         .map(|(i, opt)| {
-            let tri = trigram_profile(&opt.summary);
-            let ents = salient_entities(&opt.summary);
-            let cos = cosine(&query_tri, &tri);
-            let jac = jaccard(&query_ents, &ents);
-            let unique: BTreeSet<&str> = option_terms[i]
-                .iter()
-                .map(String::as_str)
-                .filter(|t| !shared.contains(t))
-                .collect();
-            let inter = unique.intersection(&query_distinct).count();
+            let cos = trigram_cosine(query, opt);
+            let jac = jaccard(&query.entities, &opt.entities);
             // Cosine-style normalization: plain Jaccard punishes options
             // with richer summaries (larger unions), biasing toward terse
             // options regardless of evidence.
-            let denom = ((unique.len() * query_distinct.len()) as f64).sqrt();
+            let denom = ((unique[i] * query_distinct) as f64).sqrt();
             let contrastive = if denom == 0.0 {
                 0.0
             } else {
-                inter as f64 / denom
+                inter[i] as f64 / denom
             };
             (
                 0.25 * cos + 0.20 * jac + 0.55 * contrastive,
@@ -218,33 +292,77 @@ fn score_options(prompt: &PredictionPrompt<'_>) -> Vec<(f64, f64, f64, f64)> {
         .collect()
 }
 
-/// Character-trigram frequency profile over normalized, masked text.
-fn trigram_profile(text: &str) -> BTreeMap<u64, f64> {
-    let canon = normalize(&mask_entities(text));
-    let chars: Vec<char> = canon.chars().collect();
-    let mut map: BTreeMap<u64, f64> = BTreeMap::new();
-    if chars.len() < 3 {
-        return map;
+/// Character-trigram profile of canonical text: the [`Fnv1a`] hash of
+/// every three-character window's UTF-8, counted, in ascending hash order.
+fn trigram_counts(canon: &str) -> Vec<(u64, u32)> {
+    // A window runs from a character's start to the start of the third
+    // character after it, or to the end of the text.
+    let starts = canon.char_indices().map(|(i, _)| i);
+    let ends = starts.clone().chain([canon.len()]).skip(3);
+    let mut hashes: Vec<u64> = starts
+        .zip(ends)
+        .map(|(a, b)| {
+            let mut h = Fnv1a::new();
+            h.write(&canon.as_bytes()[a..b]);
+            h.finish()
+        })
+        .collect();
+    hashes.sort_unstable();
+    let mut counts: Vec<(u64, u32)> = Vec::with_capacity(hashes.len());
+    for h in hashes {
+        match counts.last_mut() {
+            Some((last, n)) if *last == h => *n += 1,
+            _ => counts.push((h, 1)),
+        }
     }
-    for w in chars.windows(3) {
-        let g: String = w.iter().collect();
-        *map.entry(hash_token(&g)).or_insert(0.0) += 1.0;
-    }
-    map
+    counts
 }
 
-fn cosine(a: &BTreeMap<u64, f64>, b: &BTreeMap<u64, f64>) -> f64 {
-    let dot: f64 = a
-        .iter()
-        .filter_map(|(k, va)| b.get(k).map(|vb| va * vb))
-        .sum();
-    let na: f64 = a.values().map(|v| v * v).sum::<f64>().sqrt();
-    let nb: f64 = b.values().map(|v| v * v).sum::<f64>().sqrt();
-    if na == 0.0 || nb == 0.0 {
-        0.0
-    } else {
-        dot / (na * nb)
+/// Cosine of two trigram profiles. The products of shared trigrams are
+/// summed in ascending hash order with `Iterator::sum`, as a sum over an
+/// ordered map would be, so profiles that share no trigram give `-0.0`.
+fn trigram_cosine(a: &Reading<'_>, b: &Reading<'_>) -> f64 {
+    if a.norm == 0.0 || b.norm == 0.0 {
+        return 0.0;
     }
+    let dot: f64 = merge_join(&a.trigrams, &b.trigrams, |&(h, _)| h)
+        .map(|(&(_, x), &(_, y))| f64::from(x) * f64::from(y))
+        .sum();
+    dot / (a.norm * b.norm)
+}
+
+/// Jaccard overlap of two sorted, deduplicated sets.
+fn jaccard(a: &[&str], b: &[&str]) -> f64 {
+    if a.is_empty() && b.is_empty() {
+        return 0.0;
+    }
+    let inter = merge_join(a, b, |e| *e).count();
+    let union = a.len() + b.len() - inter;
+    inter as f64 / union as f64
+}
+
+/// Pairs of items with equal keys from two slices sorted by a unique
+/// `key`, in ascending key order.
+fn merge_join<'s, T, K: Ord>(
+    a: &'s [T],
+    b: &'s [T],
+    key: impl Fn(&T) -> K + 's,
+) -> impl Iterator<Item = (&'s T, &'s T)> + 's {
+    let (mut i, mut j) = (0, 0);
+    std::iter::from_fn(move || {
+        while let (Some(x), Some(y)) = (a.get(i), b.get(j)) {
+            match key(x).cmp(&key(y)) {
+                Ordering::Less => i += 1,
+                Ordering::Greater => j += 1,
+                Ordering::Equal => {
+                    i += 1;
+                    j += 1;
+                    return Some((x, y));
+                }
+            }
+        }
+        None
+    })
 }
 
 /// Evidence terms for contrastive option reading: salient entities plus
@@ -267,37 +385,29 @@ pub fn evidence_terms(text: &str) -> BTreeSet<String> {
 pub fn salient_entities(text: &str) -> BTreeSet<String> {
     let mut set: BTreeSet<String> = camelcase_entities(text).into_iter().collect();
     for tok in text.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_')) {
-        let len = tok.len();
-        if len >= 4 && tok.chars().all(|c| c.is_ascii_uppercase()) {
-            set.insert(tok.to_string());
-        }
-        if len >= 6 && tok.contains('_') && tok.chars().all(|c| c.is_ascii_lowercase() || c == '_')
-        {
+        if is_caps_or_snake_entity(tok) {
             set.insert(tok.to_string());
         }
     }
     set
 }
 
-fn jaccard(a: &BTreeSet<String>, b: &BTreeSet<String>) -> f64 {
-    if a.is_empty() && b.is_empty() {
-        return 0.0;
-    }
-    let inter = a.intersection(b).count() as f64;
-    let union = a.union(b).count() as f64;
-    inter / union
+/// True if `tok`, a run of ASCII alphanumerics and `_`, is an ALL-CAPS
+/// marker (four or more capitals) or a snake_case metric name (six or
+/// more lowercase letters and underscores, one underscore at least).
+fn is_caps_or_snake_entity(tok: &str) -> bool {
+    let len = tok.len();
+    (len >= 4 && tok.chars().all(|c| c.is_ascii_uppercase()))
+        || (len >= 6
+            && tok.contains('_')
+            && tok.chars().all(|c| c.is_ascii_lowercase() || c == '_'))
 }
 
-fn explain_match(category: &str, shared: &[String], input: &str) -> String {
+fn explain_match(category: &str, shared: &[&str], input: &str) -> String {
     let evidence = if shared.is_empty() {
         "the closely matching error-log narrative".to_string()
     } else {
-        let mut top: Vec<&String> = shared.iter().collect();
-        top.truncate(4);
-        top.iter()
-            .map(|s| s.as_str())
-            .collect::<Vec<_>>()
-            .join(", ")
+        shared[..shared.len().min(4)].join(", ")
     };
     let first_line: String = input.split('.').next().unwrap_or("").trim().to_string();
     format!(
@@ -330,6 +440,9 @@ fn explain_unseen(label: &str, input: &str) -> String {
 mod tests {
     use super::*;
     use crate::prompt::PromptOption;
+    use proptest::prelude::*;
+    use rcacopilot_textkit::ngram::hash_token;
+    use std::collections::BTreeMap;
 
     fn prompt(input: &str, options: &[(&str, &str)]) -> PredictionPrompt<'static> {
         PredictionPrompt::new(
@@ -342,6 +455,329 @@ mod tests {
                 })
                 .collect(),
         )
+    }
+
+    /// Reference: character-trigram frequency profile over normalized,
+    /// masked text, one string per trigram.
+    fn trigram_profile(text: &str) -> BTreeMap<u64, f64> {
+        let canon = normalize(&mask_entities(text));
+        let chars: Vec<char> = canon.chars().collect();
+        let mut map: BTreeMap<u64, f64> = BTreeMap::new();
+        if chars.len() < 3 {
+            return map;
+        }
+        for w in chars.windows(3) {
+            let g: String = w.iter().collect();
+            *map.entry(hash_token(&g)).or_insert(0.0) += 1.0;
+        }
+        map
+    }
+
+    /// Reference cosine of two trigram profiles.
+    fn cosine(a: &BTreeMap<u64, f64>, b: &BTreeMap<u64, f64>) -> f64 {
+        let dot: f64 = a
+            .iter()
+            .filter_map(|(k, va)| b.get(k).map(|vb| va * vb))
+            .sum();
+        let na: f64 = a.values().map(|v| v * v).sum::<f64>().sqrt();
+        let nb: f64 = b.values().map(|v| v * v).sum::<f64>().sqrt();
+        if na == 0.0 || nb == 0.0 {
+            0.0
+        } else {
+            dot / (na * nb)
+        }
+    }
+
+    fn reference_jaccard(a: &BTreeSet<String>, b: &BTreeSet<String>) -> f64 {
+        if a.is_empty() && b.is_empty() {
+            return 0.0;
+        }
+        let inter = a.intersection(b).count() as f64;
+        let union = a.union(b).count() as f64;
+        inter / union
+    }
+
+    /// Reference option scores: every feature recomputed from the text
+    /// with the set- and map-based definitions.
+    fn reference_scores(prompt: &PredictionPrompt<'_>) -> Vec<(f64, f64, f64, f64)> {
+        let query_tri = trigram_profile(&prompt.input);
+        let query_ents = salient_entities(&prompt.input);
+        let query_terms = evidence_terms(&prompt.input);
+        let option_terms: Vec<BTreeSet<String>> = prompt
+            .options
+            .iter()
+            .map(|o| evidence_terms(&o.summary))
+            .collect();
+        let mut term_counts: BTreeMap<&str, usize> = BTreeMap::new();
+        for terms in &option_terms {
+            for t in terms {
+                *term_counts.entry(t.as_str()).or_insert(0) += 1;
+            }
+        }
+        let shared: BTreeSet<&str> = term_counts
+            .iter()
+            .filter(|(_, &c)| c > 1)
+            .map(|(&t, _)| t)
+            .collect();
+        let query_distinct: BTreeSet<&str> = query_terms
+            .iter()
+            .map(String::as_str)
+            .filter(|t| !shared.contains(t))
+            .collect();
+        prompt
+            .options
+            .iter()
+            .enumerate()
+            .map(|(i, opt)| {
+                let cos = cosine(&query_tri, &trigram_profile(&opt.summary));
+                let jac = reference_jaccard(&query_ents, &salient_entities(&opt.summary));
+                let unique: BTreeSet<&str> = option_terms[i]
+                    .iter()
+                    .map(String::as_str)
+                    .filter(|t| !shared.contains(t))
+                    .collect();
+                let inter = unique.intersection(&query_distinct).count();
+                let denom = ((unique.len() * query_distinct.len()) as f64).sqrt();
+                let contrastive = if denom == 0.0 {
+                    0.0
+                } else {
+                    inter as f64 / denom
+                };
+                (
+                    0.25 * cos + 0.20 * jac + 0.55 * contrastive,
+                    cos,
+                    jac,
+                    contrastive,
+                )
+            })
+            .collect()
+    }
+
+    /// Reference noise: the whole key formatted, then hashed.
+    fn reference_noise(engine: &CotEngine, input: &str, option_index: usize) -> f64 {
+        let sigma = engine.profile.noise();
+        if sigma == 0.0 {
+            return 0.0;
+        }
+        let mut acc = 0.0;
+        for salt in 0..3u64 {
+            let h = hash_token(&format!(
+                "{}|{}|{}|{}",
+                engine.seed, option_index, salt, input
+            ));
+            acc += (h % 1_000_000) as f64 / 1_000_000.0 - 0.5;
+        }
+        acc * sigma * 2.0
+    }
+
+    fn bits(scores: &[(f64, f64, f64, f64)]) -> Vec<[u64; 4]> {
+        scores
+            .iter()
+            .map(|s| [s.0.to_bits(), s.1.to_bits(), s.2.to_bits(), s.3.to_bits()])
+            .collect()
+    }
+
+    /// The entities a match explanation cites; none when it cites the
+    /// narrative instead.
+    fn cited_entities(explanation: &str) -> Vec<&str> {
+        let evidence = explanation
+            .split_once("based on the occurrence of ")
+            .and_then(|(_, rest)| rest.split_once(" in both the current diagnostics"))
+            .map(|(evidence, _)| evidence)
+            .expect("a match explanation names its evidence");
+        if evidence == "the closely matching error-log narrative" {
+            Vec::new()
+        } else {
+            evidence.split(", ").collect()
+        }
+    }
+
+    /// Words the generated texts are made of: per-incident identifiers
+    /// that masking replaces, `key=value` tokens, CamelCase, ALL-CAPS and
+    /// snake_case entities, long lowercase words, short words, and
+    /// non-ASCII words (a dotted capital I, accented letters, a word-final
+    /// capital sigma, CJK).
+    const WORDS: &[&str] = &[
+        "NAMPR03MB1234",
+        "11/21/2022",
+        "2:04:20",
+        "3fa85f64-5717",
+        "15276",
+        "pid=203736",
+        "status=BLOCKED",
+        "retries=3",
+        "TaskCanceledException",
+        "GetTokenAsync",
+        "WinSock",
+        "DatacenterHubOutboundProxyProbe",
+        "TransportDelivery",
+        "TIMEOUT",
+        "NXDOMAIN",
+        "UDP",
+        "dependency_latency_ms",
+        "queue_depth",
+        "quarantine",
+        "replay",
+        "queue",
+        "socket",
+        "exhausted",
+        "mailbox",
+        "certificate",
+        "the",
+        "on",
+        "x",
+        "é",
+        "İstanbul",
+        "ΟΔΟΣ",
+        "café",
+        "naïve",
+        "日本語",
+        "System.IO.IOException:",
+        "(11/21/2022)",
+    ];
+    const SEPARATORS: &[&str] = &[" ", " ", " ", ". ", "; ", ", ", "\n"];
+    const CATEGORIES: &[&str] = &["HubPortExhaustion", "DeliveryHang", "FullDisk"];
+
+    fn arb_text() -> impl Strategy<Value = String> {
+        let words = proptest::collection::vec(
+            (
+                proptest::sample::select(WORDS.to_vec()),
+                proptest::sample::select(SEPARATORS.to_vec()),
+            ),
+            0..20,
+        );
+        // One text in five is short: under three characters, or a word
+        // that shares no trigram with the rest.
+        (0u8..5, "[a-zé]{0,4}", words).prop_map(|(pick, short, words)| {
+            if pick == 0 {
+                short
+            } else {
+                words.into_iter().flat_map(|(w, s)| [w, s]).collect()
+            }
+        })
+    }
+
+    fn arb_prompt() -> impl Strategy<Value = PredictionPrompt<'static>> {
+        let options = proptest::collection::vec(
+            (arb_text(), proptest::sample::select(CATEGORIES.to_vec())),
+            0..=8,
+        );
+        (arb_text(), options).prop_map(|(input, options)| {
+            let options = options
+                .into_iter()
+                .map(|(summary, category)| PromptOption {
+                    summary: summary.into(),
+                    category: category.into(),
+                })
+                .collect();
+            PredictionPrompt::new(input, options)
+        })
+    }
+
+    fn arb_engine() -> impl Strategy<Value = CotEngine> {
+        (
+            proptest::sample::select(vec![ModelProfile::Gpt35, ModelProfile::Gpt4]),
+            0..u64::MAX,
+        )
+            .prop_map(|(profile, seed)| CotEngine::new(profile, seed))
+    }
+
+    proptest! {
+        #[test]
+        fn scoring_matches_the_text_reference(p in arb_prompt(), engine in arb_engine()) {
+            prop_assert_eq!(bits(&engine.option_scores(&p)), bits(&reference_scores(&p)));
+            for i in 0..p.options.len() {
+                prop_assert_eq!(
+                    engine.noise_for(&p.input, i).to_bits(),
+                    reference_noise(&engine, &p.input, i).to_bits()
+                );
+            }
+            let pred = engine.predict(&p);
+            if let Some(idx) = pred.option_index {
+                let shared: Vec<String> = salient_entities(&p.input)
+                    .intersection(&salient_entities(&p.options[idx].summary))
+                    .cloned()
+                    .collect();
+                let shared: Vec<&str> = shared.iter().map(String::as_str).collect();
+                prop_assert_eq!(
+                    pred.explanation,
+                    explain_match(&p.options[idx].category, &shared, &p.input)
+                );
+            }
+        }
+
+        #[test]
+        fn permuting_the_options_permutes_the_scores(
+            p in arb_prompt(),
+            keys in proptest::collection::vec(0..u64::MAX, 8),
+        ) {
+            let mut order: Vec<usize> = (0..p.options.len()).collect();
+            order.sort_by_key(|&i| keys[i]);
+            let engine = CotEngine::new(ModelProfile::Gpt4, 1);
+            let scores = engine.option_scores(&p);
+            let permuted = PredictionPrompt::new(
+                p.input.clone(),
+                order.iter().map(|&i| p.options[i].clone()).collect(),
+            );
+            let want: Vec<_> = order.iter().map(|&i| scores[i]).collect();
+            prop_assert_eq!(bits(&engine.option_scores(&permuted)), bits(&want));
+        }
+
+        #[test]
+        fn cited_entities_occur_in_the_input_and_the_chosen_summary(
+            p in arb_prompt(),
+            engine in arb_engine(),
+        ) {
+            let pred = engine.predict(&p);
+            if let Some(idx) = pred.option_index {
+                let input_ents = salient_entities(&p.input);
+                let chosen_ents = salient_entities(&p.options[idx].summary);
+                for cited in cited_entities(&pred.explanation) {
+                    prop_assert!(
+                        input_ents.contains(cited) && chosen_ents.contains(cited),
+                        "{cited:?} cited in {:?}",
+                        pred.explanation
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn degenerate_texts_never_panic_and_an_empty_prompt_is_unseen() {
+        let texts = [
+            "",
+            " ",
+            "a",
+            "ab",
+            "abc",
+            "İ",
+            "İİ",
+            "é",
+            "ée",
+            "ÉTÉ",
+            "ΟΔΟΣ",
+            "ΣΟΦΟΣ ΟΔΟΣ.",
+            "=",
+            "a=b",
+            "..",
+        ];
+        let options: Vec<(&str, &str)> = texts.iter().map(|t| (*t, "FullDisk")).collect();
+        for profile in [ModelProfile::Gpt35, ModelProfile::Gpt4] {
+            let engine = CotEngine::new(profile, 3);
+            for input in texts {
+                for p in [prompt(input, &[]), prompt(input, &options)] {
+                    let scores = engine.option_scores(&p);
+                    assert_eq!(bits(&scores), bits(&reference_scores(&p)), "{input:?}");
+                    assert!(scores.iter().all(|s| s.0.is_finite()), "{input:?}");
+                    let pred = engine.predict(&p);
+                    assert!(pred.confidence.is_finite(), "{input:?}");
+                }
+            }
+            let empty = engine.predict(&prompt("", &[("", "FullDisk"), ("", "DeliveryHang")]));
+            assert!(empty.unseen);
+            assert_eq!(empty.option_index, None);
+        }
     }
 
     #[test]

@@ -45,18 +45,24 @@ const RULES: &[(&[&str], &str)] = &[
 pub fn camelcase_entities(text: &str) -> Vec<String> {
     let mut set: BTreeSet<String> = BTreeSet::new();
     for tok in text.split(|c: char| !c.is_ascii_alphanumeric()) {
-        if tok.len() >= 8
-            && tok.chars().next().is_some_and(|c| c.is_ascii_uppercase())
-            && tok.chars().skip(1).any(|c| c.is_ascii_uppercase())
-            && tok.chars().any(|c| c.is_ascii_lowercase())
-            && !tok.chars().any(|c| c.is_ascii_digit())
-        {
+        if is_camelcase_entity(tok) {
             set.insert(tok.to_string());
         }
     }
     let mut out: Vec<String> = set.into_iter().collect();
     out.sort_by(|a, b| b.len().cmp(&a.len()).then_with(|| a.cmp(b)));
     out
+}
+
+/// True if `tok`, an alphanumeric run, is a CamelCase identifier: at
+/// least eight characters, starting uppercase, with another uppercase
+/// letter, a lowercase letter and no digit.
+pub(crate) fn is_camelcase_entity(tok: &str) -> bool {
+    tok.len() >= 8
+        && tok.chars().next().is_some_and(|c| c.is_ascii_uppercase())
+        && tok.chars().skip(1).any(|c| c.is_ascii_uppercase())
+        && tok.chars().any(|c| c.is_ascii_lowercase())
+        && !tok.chars().any(|c| c.is_ascii_digit())
 }
 
 /// Synthesizes a human-readable category label for an unseen incident.

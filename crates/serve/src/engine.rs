@@ -1044,7 +1044,12 @@ impl ServeEngine {
             let seq = env.ctx.events[i].seq;
             match env.plan.decide(seq, attempt) {
                 WorkerFault::Panic { stage } => {
-                    panic!("injected worker panic in {stage} (seq {seq}, attempt {attempt})");
+                    // Unwinds like `panic!` (same `String` payload, same
+                    // lock poisoning) but skips the panic hook, so an
+                    // injected fault prints nothing to stderr.
+                    std::panic::resume_unwind(Box::new(format!(
+                        "injected worker panic in {stage} (seq {seq}, attempt {attempt})"
+                    )));
                 }
                 WorkerFault::Stall { stage } => {
                     FaultCounters::bump(&counters.injected_stalls);
