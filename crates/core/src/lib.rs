@@ -54,7 +54,7 @@ pub use pipeline::{RcaCopilot, RcaCopilotConfig, RcaPrediction};
 pub use plan::{InferencePlan, PlanCaches, PlanExecutor, PlanOutcome, SummarizeMode};
 pub use report::OnCallReport;
 pub use retrieval::{
-    linear_top_k_diverse, shard_for_category, CheckpointEntry, HistoricalEntry, HistoricalIndex,
-    HistorySnapshot, HistoryView, RetrievalBackend, RetrievalConfig, ShardedCheckpoint,
-    ShardedHistoricalIndex,
+    linear_top_k_diverse, shard_for_category, BaseMismatch, CheckpointEntry, HistoricalEntry,
+    HistoricalIndex, HistorySnapshot, HistoryView, RetrievalBackend, RetrievalConfig,
+    ShardedCheckpoint, ShardedHistoricalIndex, WarmBase,
 };

@@ -516,6 +516,62 @@ mod tests {
     }
 
     #[test]
+    fn zero_query_embedding_answers_alike_on_frozen_and_warm_views() {
+        use crate::retrieval::ShardedHistoricalIndex;
+        let copilot = RcaCopilot::train(&training_set(), quick_config());
+        let zero = vec![0.0f32; copilot.index().entries()[0].embedding.len()];
+        let warm = ShardedHistoricalIndex::warm(copilot.index().entries(), 2, 4).snapshot();
+        let cfg = copilot.config().retrieval;
+        let at = SimTime::from_days(47);
+        let none = RunDegradation::default();
+        for input in [
+            "The probe failed with WinSock error 11001.",
+            "not enough space on the disk",
+            "",
+        ] {
+            let frozen = copilot.predict_from_query(copilot.index(), &zero, input, at, &cfg, &none);
+            let online = copilot.predict_from_query(&warm, &zero, input, at, &cfg, &none);
+            assert_eq!(frozen, online, "input {input:?}");
+            assert_eq!(frozen.demo_categories.len(), 3);
+            if input.is_empty() {
+                assert!(frozen.unseen, "an empty input matches nothing");
+            }
+        }
+    }
+
+    #[test]
+    fn empty_summaries_with_zero_embeddings_answer_unseen() {
+        let copilot = RcaCopilot::train(&training_set(), quick_config());
+        let dim = copilot.index().entries()[0].embedding.len();
+        let mut blank = HistoricalIndex::new();
+        for (id, category) in ["HubPortExhaustion", "FullDisk", "InvalidJournaling"]
+            .into_iter()
+            .enumerate()
+        {
+            blank.add(HistoricalEntry {
+                id,
+                category: category.to_string(),
+                summary: String::new(),
+                at: SimTime::from_days(40 + id as u64),
+                embedding: vec![0.0; dim],
+            });
+        }
+        let input = "DatacenterHubOutboundProxyProbe failed WinSock error 11001";
+        for query in [vec![0.0; dim], copilot.embed_scaled(input)] {
+            let pred = copilot.predict_from_query(
+                &blank,
+                &query,
+                input,
+                SimTime::from_days(47),
+                &copilot.config().retrieval,
+                &RunDegradation::default(),
+            );
+            assert!(pred.unseen, "{pred:?}");
+            assert_eq!(pred.demo_categories.len(), 3);
+        }
+    }
+
+    #[test]
     fn generic_lm_embedding_is_deterministic_and_normalized() {
         let a = generic_lm_embedding("udp socket exhausted", 32);
         let b = generic_lm_embedding("udp socket exhausted", 32);

@@ -21,6 +21,7 @@
 //! applied to every visible entry (property-tested below).
 
 use rcacopilot_telemetry::time::SimTime;
+use rcacopilot_textkit::ngram::Fnv1a;
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::collections::btree_map::{BTreeMap, Entry};
@@ -553,6 +554,9 @@ pub struct ShardedHistoricalIndex {
     max_cell: usize,
     next_seq: AtomicU64,
     poison_recoveries: AtomicU64,
+    /// The warm-start history, which holds sequence numbers `0..len` and
+    /// which checkpoints name instead of copying.
+    base: Option<WarmBase>,
 }
 
 impl ShardedHistoricalIndex {
@@ -568,19 +572,28 @@ impl ShardedHistoricalIndex {
             max_cell: max_cell.max(1),
             next_seq: AtomicU64::new(0),
             poison_recoveries: AtomicU64::new(0),
+            base: None,
         }
     }
 
     /// Warm-starts from existing history (e.g. a trained pipeline's
     /// index) in slice order and publishes every shard. Every seeded
-    /// entry is visible to all queries.
+    /// entry is visible to all queries. The index remembers the history
+    /// as its [`WarmBase`], so its checkpoints name it instead of
+    /// copying it.
     pub fn warm(entries: &[HistoricalEntry], shards: usize, max_cell: usize) -> Self {
-        let idx = ShardedHistoricalIndex::new(shards, max_cell);
-        for e in entries {
-            idx.insert(e.clone(), SimTime::EPOCH);
-        }
+        let mut idx = ShardedHistoricalIndex::new(shards, max_cell);
+        idx.insert_base(entries);
+        idx.base = Some(WarmBase::of(entries));
         idx.publish_all();
         idx
+    }
+
+    /// Inserts warm-start history, always visible, in slice order.
+    fn insert_base(&self, entries: &[HistoricalEntry]) {
+        for e in entries {
+            self.insert(e.clone(), SimTime::EPOCH);
+        }
     }
 
     /// [`warm`](Self::warm) with the retrieval backend named explicitly.
@@ -696,21 +709,29 @@ impl ShardedHistoricalIndex {
     /// *merged* order (rather than per-shard lists) makes the checkpoint
     /// shard-count independent: restoring with a different `shards`
     /// value re-routes deterministically and reproduces identical
-    /// answers.
+    /// answers. An index with a [`WarmBase`] lists only the entries
+    /// inserted after it and names the base.
     pub fn checkpoint(&self) -> ShardedCheckpoint {
+        let after_base = self.base.map_or(0, |b| b.len as u64);
         let mut seqd: Vec<(u64, CheckpointEntry)> = Vec::new();
         let mut shard_epochs = Vec::with_capacity(self.shards.len());
         for s in 0..self.shards.len() {
             let guard = self.lock_shard(s);
-            seqd.extend(guard.working.iter().map(|stored| {
-                (
-                    stored.seq,
-                    CheckpointEntry {
-                        entry: stored.entry.clone(),
-                        visible_from: stored.visible_from,
-                    },
-                )
-            }));
+            seqd.extend(
+                guard
+                    .working
+                    .iter()
+                    .filter(|stored| stored.seq >= after_base)
+                    .map(|stored| {
+                        (
+                            stored.seq,
+                            CheckpointEntry {
+                                entry: stored.entry.clone(),
+                                visible_from: stored.visible_from,
+                            },
+                        )
+                    }),
+            );
             shard_epochs.push(guard.epoch);
         }
         seqd.sort_by_key(|&(seq, _)| seq);
@@ -718,6 +739,7 @@ impl ShardedHistoricalIndex {
             max_cell: self.max_cell,
             shard_epochs,
             entries: seqd.into_iter().map(|(_, e)| e).collect(),
+            base: self.base,
         }
     }
 
@@ -729,8 +751,31 @@ impl ShardedHistoricalIndex {
     /// epoch numbering is journal bookkeeping and never affects query
     /// answers, because visibility is filtered per query by
     /// `visible_from`, not by epoch membership.
-    pub fn restore(checkpoint: &ShardedCheckpoint, shards: usize) -> Self {
-        let idx = ShardedHistoricalIndex::new(shards, checkpoint.max_cell);
+    ///
+    /// A checkpoint that names a [`WarmBase`] is restored over `base`,
+    /// the history it was warmed from: those entries go in first, so
+    /// every entry gets back its sequence number, and the restored index
+    /// keeps naming the base. A checkpoint without one lists every entry
+    /// and ignores `base`.
+    ///
+    /// # Errors
+    ///
+    /// [`BaseMismatch`] when `base` is not the history the checkpoint
+    /// names.
+    pub fn restore(
+        checkpoint: &ShardedCheckpoint,
+        base: &[HistoricalEntry],
+        shards: usize,
+    ) -> Result<Self, BaseMismatch> {
+        let mut idx = ShardedHistoricalIndex::new(shards, checkpoint.max_cell);
+        if let Some(named) = checkpoint.base {
+            let found = WarmBase::of(base);
+            if found != named {
+                return Err(BaseMismatch { named, found });
+            }
+            idx.insert_base(base);
+            idx.base = Some(named);
+        }
         for ce in &checkpoint.entries {
             idx.insert(ce.entry.clone(), ce.visible_from);
         }
@@ -740,9 +785,68 @@ impl ShardedHistoricalIndex {
                 idx.set_epoch(s, epoch);
             }
         }
-        idx
+        Ok(idx)
     }
 }
+
+/// The warm-start history of a [`ShardedHistoricalIndex`], named by its
+/// length and a digest of its entries, so a checkpoint can refer to it
+/// instead of copying it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub struct WarmBase {
+    /// Number of warm entries; they hold sequence numbers `0..len`.
+    pub len: usize,
+    /// 64-bit FNV-1a over every entry's id, category, summary, time and
+    /// embedding bits, little-endian, with each string's and the
+    /// embedding's length before it.
+    pub digest: u64,
+}
+
+impl WarmBase {
+    /// Names `entries` as a warm base.
+    pub fn of(entries: &[HistoricalEntry]) -> Self {
+        let mut h = Fnv1a::new();
+        for e in entries {
+            h.write(&(e.id as u64).to_le_bytes());
+            for text in [&e.category, &e.summary] {
+                h.write(&(text.len() as u64).to_le_bytes());
+                h.write(text.as_bytes());
+            }
+            h.write(&e.at.as_secs().to_le_bytes());
+            h.write(&(e.embedding.len() as u64).to_le_bytes());
+            for x in &e.embedding {
+                h.write(&x.to_bits().to_le_bytes());
+            }
+        }
+        WarmBase {
+            len: entries.len(),
+            digest: h.finish(),
+        }
+    }
+}
+
+/// A checkpoint named a warm base that the history offered to restore it
+/// does not match.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BaseMismatch {
+    /// The base the checkpoint names.
+    pub named: WarmBase,
+    /// The base the offered history digests to.
+    pub found: WarmBase,
+}
+
+impl std::fmt::Display for BaseMismatch {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "checkpoint names a warm base of {} entries (digest {:016x}), \
+             but the offered history has {} entries (digest {:016x})",
+            self.named.len, self.named.digest, self.found.len, self.found.digest
+        )
+    }
+}
+
+impl std::error::Error for BaseMismatch {}
 
 /// One [`ShardedHistoricalIndex`] entry as journaled by the serving
 /// plane's write-ahead log.
@@ -762,8 +866,13 @@ pub struct ShardedCheckpoint {
     /// Per-shard published epoch numbers at checkpoint time (length =
     /// the checkpointing index's shard count).
     pub shard_epochs: Vec<u64>,
-    /// Every inserted entry, in *global* insertion order.
+    /// Every entry inserted after the warm base (every entry when there
+    /// is none), in *global* insertion order.
     pub entries: Vec<CheckpointEntry>,
+    /// The warm-start history the entries follow, named rather than
+    /// copied. `None` (also how a checkpoint written without this field
+    /// reads) means `entries` holds the whole index.
+    pub base: Option<WarmBase>,
 }
 
 /// A sealed read view of every shard of a [`ShardedHistoricalIndex`].
@@ -975,7 +1084,7 @@ mod tests {
         }
         let ckpt = online.checkpoint();
         assert_eq!(ckpt.entries.len(), online.len());
-        let restored = ShardedHistoricalIndex::restore(&ckpt, 1);
+        let restored = ShardedHistoricalIndex::restore(&ckpt, &[], 1).expect("no base named");
         assert_eq!(restored.len(), online.len());
         assert_eq!(restored.epoch(0), online.epoch(0));
         let cfg = RetrievalConfig { k: 4, alpha: 0.3 };
@@ -1100,7 +1209,8 @@ mod tests {
         let reference = sharded.snapshot();
         // Restore into the same, fewer and more shards: answers identical.
         for target in [1usize, 2, 4, 8] {
-            let restored = ShardedHistoricalIndex::restore(&ckpt, target);
+            let restored =
+                ShardedHistoricalIndex::restore(&ckpt, &[], target).expect("no base named");
             assert_eq!(restored.shard_count(), target);
             assert_eq!(restored.len(), sharded.len());
             let snap = restored.snapshot();
@@ -1114,7 +1224,7 @@ mod tests {
             }
         }
         // Same-count restore also restores per-shard epoch counters.
-        let same = ShardedHistoricalIndex::restore(&ckpt, 4);
+        let same = ShardedHistoricalIndex::restore(&ckpt, &[], 4).expect("no base named");
         for s in 0..4 {
             assert_eq!(same.epoch(s), sharded.epoch(s), "shard {s} epoch");
         }
@@ -1143,6 +1253,116 @@ mod tests {
         // All six similarities tie; order must be insertion order.
         let ids: Vec<usize> = b.iter().map(|n| n.entry.id).collect();
         assert_eq!(ids, vec![100, 99, 98, 97, 96, 95]);
+    }
+
+    /// Warm history in categories `Warm*` and later inserts in `Late*`,
+    /// all on one day with one embedding: every similarity ties, so the
+    /// answer is insertion order and shows where restore put the base.
+    fn tied_warm_and_late() -> (Vec<HistoricalEntry>, ShardedHistoricalIndex) {
+        let warm: Vec<HistoricalEntry> = (0..4)
+            .map(|i| entry(i, &format!("Warm{i}"), 10, vec![1.0, 1.0]))
+            .collect();
+        let online = ShardedHistoricalIndex::warm(&warm, 3, 2);
+        for i in 0..4 {
+            let s = online.insert(
+                entry(10 + i, &format!("Late{i}"), 10, vec![1.0, 1.0]),
+                SimTime::from_days(i as u64),
+            );
+            online.publish(s);
+        }
+        (warm, online)
+    }
+
+    fn tied_answer(view: &dyn HistoryView) -> Vec<usize> {
+        let cfg = RetrievalConfig { k: 6, alpha: 0.0 };
+        view.top_k_diverse(&[1.0, 1.0], SimTime::from_days(10), &cfg)
+            .iter()
+            .map(|n| n.entry.id)
+            .collect()
+    }
+
+    #[test]
+    fn checkpoints_name_the_warm_base_and_restore_over_it() {
+        let (warm, online) = tied_warm_and_late();
+        let ckpt = online.checkpoint();
+        assert_eq!(ckpt.base, Some(WarmBase::of(&warm)));
+        let ids: Vec<usize> = ckpt.entries.iter().map(|ce| ce.entry.id).collect();
+        assert_eq!(ids, [10, 11, 12, 13], "only the entries after the base");
+        let json = serde_json::to_string(&ckpt).expect("serializable");
+        let back: ShardedCheckpoint = serde_json::from_str(&json).expect("parseable");
+        assert_eq!(back, ckpt);
+        let want = tied_answer(&online.snapshot());
+        assert_eq!(
+            want,
+            [0, 1, 2, 3, 10, 11],
+            "ties resolve in insertion order"
+        );
+        for shards in [1usize, 2, 3, 5] {
+            let restored =
+                ShardedHistoricalIndex::restore(&back, &warm, shards).expect("same base");
+            assert_eq!(restored.len(), online.len());
+            assert_eq!(tied_answer(&restored.snapshot()), want, "{shards} shards");
+            // Fold again after more inserts: still only the later entries.
+            restored.insert(entry(20, "Later", 10, vec![1.0, 1.0]), SimTime::EPOCH);
+            let again = restored.checkpoint();
+            assert_eq!(again.base, ckpt.base);
+            let ids: Vec<usize> = again.entries.iter().map(|ce| ce.entry.id).collect();
+            assert_eq!(ids, [10, 11, 12, 13, 20]);
+        }
+    }
+
+    #[test]
+    fn restore_refuses_a_different_warm_base() {
+        let (warm, online) = tied_warm_and_late();
+        let ckpt = online.checkpoint();
+        let named = WarmBase::of(&warm);
+        let mut edited = warm.clone();
+        edited[2].summary.push('!');
+        let mut nudged = warm.clone();
+        nudged[0].embedding[1] = f32::from_bits(nudged[0].embedding[1].to_bits() + 1);
+        for other in [&warm[..3], &edited[..], &nudged[..], &[]] {
+            let err = ShardedHistoricalIndex::restore(&ckpt, other, 1).expect_err("other base");
+            assert_eq!(
+                err,
+                BaseMismatch {
+                    named,
+                    found: WarmBase::of(other),
+                }
+            );
+            assert!(err.to_string().contains("warm base of 4 entries"), "{err}");
+        }
+    }
+
+    #[test]
+    fn a_checkpoint_without_a_base_restores_in_full() {
+        // The format from before warm bases: every entry, no `base` key.
+        let (warm, online) = tied_warm_and_late();
+        let named = online.checkpoint();
+        let full = ShardedCheckpoint {
+            entries: warm
+                .iter()
+                .map(|e| CheckpointEntry {
+                    entry: e.clone(),
+                    visible_from: SimTime::EPOCH,
+                })
+                .chain(named.entries.iter().cloned())
+                .collect(),
+            base: None,
+            ..named
+        };
+        let json = serde_json::to_string(&full).expect("serializable");
+        let legacy = json.replace(r#","base":null"#, "");
+        assert!(!legacy.contains("base"));
+        let back: ShardedCheckpoint = serde_json::from_str(&legacy).expect("parseable");
+        assert_eq!(back, full);
+        // The history offered for the base is not consulted.
+        let restored = ShardedHistoricalIndex::restore(&back, &[], 2).expect("nothing named");
+        assert_eq!(restored.len(), online.len());
+        assert_eq!(
+            tied_answer(&restored.snapshot()),
+            tied_answer(&online.snapshot())
+        );
+        assert_eq!(restored.checkpoint().entries, full.entries);
     }
 }
 

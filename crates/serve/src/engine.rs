@@ -551,7 +551,8 @@ impl ServeEngine {
     /// a failing collection degrades the single event rather than the
     /// run.
     pub fn run(&self, incidents: &[Incident], stream_config: &StreamConfig) -> ServeOutcome {
-        self.run_internal(incidents, stream_config, None, Recovery::default())
+        let online = self.warm_index();
+        self.run_internal(incidents, stream_config, None, Recovery::default(), online)
     }
 
     /// Like [`ServeEngine::run`], but journaling every commit (and index
@@ -564,7 +565,10 @@ impl ServeEngine {
     ///
     /// Returns the [`WalError`] if the journal's commit prefix has a gap
     /// — only possible through in-memory misuse, since loading a stored
-    /// journal quarantines corruption and prunes past it.
+    /// journal quarantines corruption and prunes past it — or
+    /// [`WalError::WarmBase`] if its checkpoint names a warm base other
+    /// than this engine's trained history. Both are found before any
+    /// event runs.
     pub fn run_with_wal(
         &self,
         incidents: &[Incident],
@@ -572,7 +576,52 @@ impl ServeEngine {
         wal: &mut WriteAheadLog,
     ) -> Result<ServeOutcome, WalError> {
         let recovery = wal.recover()?;
-        Ok(self.run_internal(incidents, stream_config, Some(wal), recovery))
+        let online = match &recovery.checkpoint {
+            // A checkpoint restores into *this* run's shard count:
+            // entries re-route deterministically, so the answers (and the
+            // log) don't depend on the crashed run's count.
+            Some(ckpt) if self.config.index_mode == IndexMode::Online => Some(
+                ShardedHistoricalIndex::restore(
+                    ckpt,
+                    self.copilot.index().entries(),
+                    self.config.shards.max(1),
+                )
+                .map_err(WalError::WarmBase)?,
+            ),
+            _ => self.warm_index(),
+        };
+        if let Some(idx) = &online {
+            // Re-apply entries journaled after the last checkpoint —
+            // commits and feedback corrections, in journal order — and
+            // publish each touched shard once: epoch-batch boundaries are
+            // immaterial because visibility is filtered per query by
+            // `visible_from`.
+            let mut dirty = BTreeSet::new();
+            for ce in &recovery.entries {
+                dirty.insert(idx.insert(ce.entry.clone(), ce.visible_from));
+            }
+            for shard in dirty {
+                idx.publish(shard);
+            }
+            for (&shard, &epoch) in &recovery.shard_epochs {
+                if shard < idx.shard_count() && epoch > idx.epoch(shard) {
+                    idx.set_epoch(shard, epoch);
+                }
+            }
+        }
+        Ok(self.run_internal(incidents, stream_config, Some(wal), recovery, online))
+    }
+
+    /// The online index warmed from the copilot's trained history, or
+    /// `None` in frozen-index mode.
+    fn warm_index(&self) -> Option<ShardedHistoricalIndex> {
+        (self.config.index_mode == IndexMode::Online).then(|| {
+            ShardedHistoricalIndex::warm(
+                self.copilot.index().entries(),
+                self.config.shards.max(1),
+                self.config.max_cell,
+            )
+        })
     }
 
     /// Journals an on-call engineer's correction of a served prediction:
@@ -612,6 +661,7 @@ impl ServeEngine {
         stream_config: &StreamConfig,
         wal: Option<&mut WriteAheadLog>,
         recovery: Recovery,
+        online: Option<ShardedHistoricalIndex>,
     ) -> ServeOutcome {
         let events = stream::schedule(incidents, stream_config);
         let n = events.len();
@@ -710,41 +760,6 @@ impl ServeEngine {
         let wall_latencies: Mutex<Vec<u64>> = Mutex::new(Vec::new());
 
         let shards = self.config.shards.max(1);
-        let online: Option<ShardedHistoricalIndex> = match self.config.index_mode {
-            IndexMode::Frozen => None,
-            IndexMode::Online => {
-                let idx = match &recovery.checkpoint {
-                    // A checkpoint restores into *this* run's shard
-                    // count: entries re-route deterministically, so the
-                    // answers (and the log) don't depend on the crashed
-                    // run's count.
-                    Some(ckpt) => ShardedHistoricalIndex::restore(ckpt, shards),
-                    None => ShardedHistoricalIndex::warm(
-                        self.copilot.index().entries(),
-                        shards,
-                        self.config.max_cell,
-                    ),
-                };
-                // Re-apply entries journaled after the last checkpoint —
-                // commits and feedback corrections, in journal order —
-                // and publish each touched shard once: epoch-batch
-                // boundaries are immaterial because visibility is
-                // filtered per query by `visible_from`.
-                let mut dirty = BTreeSet::new();
-                for ce in &recovery.entries {
-                    dirty.insert(idx.insert(ce.entry.clone(), ce.visible_from));
-                }
-                for shard in dirty {
-                    idx.publish(shard);
-                }
-                for (&shard, &epoch) in &recovery.shard_epochs {
-                    if shard < idx.shard_count() && epoch > idx.epoch(shard) {
-                        idx.set_epoch(shard, epoch);
-                    }
-                }
-                Some(idx)
-            }
-        };
         // A shared pool (multi-tenant bulkheading) or a private one; the
         // inference plan's memo policy is namespaced to the tenant either
         // way, so tenants sharing one physical cache occupy disjoint
@@ -1490,7 +1505,8 @@ mod tests {
     use crate::clock::RealClockConfig;
     use crate::stream::ArrivalModel;
     use rcacopilot_core::eval::PreparedDataset;
-    use rcacopilot_core::pipeline::RcaCopilotConfig;
+    use rcacopilot_core::pipeline::{Embedder, RcaCopilotConfig};
+    use rcacopilot_core::retrieval::{ShardedCheckpoint, WarmBase};
     use rcacopilot_embed::{FastTextConfig, FeatureExtractor};
     use rcacopilot_simcloud::noise::NoiseProfile;
     use rcacopilot_simcloud::{generate_dataset, CampaignConfig, IncidentDataset, Topology};
@@ -1620,6 +1636,131 @@ mod tests {
         // Flapping re-raises hit the memo caches.
         let hits = as_u64(field(&out1.report, &["caches", "embed", "hits"]));
         assert!(hits > 0, "duplicate alerts should hit the embed cache");
+    }
+
+    /// A journaled online run cut at half its stream: the uninterrupted
+    /// log, and the crashed run's journal holding a checkpoint fold.
+    fn crashed_journal(engine: &ServeEngine, test: &[Incident]) -> (String, WriteAheadLog) {
+        let stream = StreamConfig::replay();
+        let reference = engine.run(test, &stream);
+        let crashed = ServeEngine::new(
+            engine.copilot().clone(),
+            EngineConfig {
+                crash_at: Some(reference.records[reference.records.len() / 2].at),
+                ..engine.config().clone()
+            },
+        );
+        let mut wal = WriteAheadLog::new();
+        let partial = crashed.run_with_wal(test, &stream, &mut wal).unwrap();
+        assert!(partial.crashed());
+        assert!(wal.checkpointed() > 0, "the journal holds a fold");
+        (reference.log, wal)
+    }
+
+    #[test]
+    fn resume_restores_checkpoints_with_and_without_a_warm_base() {
+        let (engine, test) = trained_engine(EngineConfig {
+            workers: 2,
+            index_mode: IndexMode::Online,
+            admission: AdmissionConfig::unbounded(),
+            checkpoint_every: 3,
+            ..EngineConfig::default()
+        });
+        let (reference, wal) = crashed_journal(&engine, &test);
+        let history = engine.copilot().index().entries();
+        let recovery = wal.recover().unwrap();
+        let ckpt = recovery.checkpoint.clone().expect("online fold");
+        assert_eq!(ckpt.base, Some(WarmBase::of(history)));
+        assert!(ckpt.entries.len() < recovery.committed(), "no warm entries");
+        let resume = |journal: &str| {
+            let mut wal = WriteAheadLog::load(journal);
+            assert!(wal.quarantined().is_empty());
+            let out = engine.run_with_wal(&test, &StreamConfig::replay(), &mut wal);
+            out.unwrap().log
+        };
+        assert_eq!(resume(&wal.serialized()), reference);
+        // The same journal as written before warm bases: the fold lists
+        // every entry and has no `base` key.
+        let legacy: String = wal
+            .records()
+            .unwrap()
+            .into_iter()
+            .map(|record| {
+                let record = match record {
+                    WalRecord::Checkpoint {
+                        committed,
+                        records,
+                        index: Some(named),
+                        tenant,
+                    } => {
+                        let warm = history.iter().map(|e| CheckpointEntry {
+                            entry: e.clone(),
+                            visible_from: SimTime::EPOCH,
+                        });
+                        let index = ShardedCheckpoint {
+                            entries: warm.chain(named.entries.iter().cloned()).collect(),
+                            base: None,
+                            ..named
+                        };
+                        WalRecord::Checkpoint {
+                            committed,
+                            records,
+                            index: Some(index),
+                            tenant,
+                        }
+                    }
+                    other => other,
+                };
+                let json = serde_json::to_string(&record).unwrap();
+                let payload = json.replace(r#","base":null"#, "");
+                format!(
+                    "crc32c:{:08x}:{payload}\n",
+                    crate::storage::crc32c(payload.as_bytes())
+                )
+            })
+            .collect();
+        assert!(legacy.len() > wal.serialized().len());
+        assert!(!legacy.contains(r#""base""#));
+        assert_eq!(resume(&legacy), reference);
+    }
+
+    #[test]
+    fn resume_refuses_a_checkpoint_of_another_warm_base() {
+        let config = EngineConfig {
+            index_mode: IndexMode::Online,
+            admission: AdmissionConfig::unbounded(),
+            checkpoint_every: 3,
+            ..EngineConfig::default()
+        };
+        let (engine, test) = trained_engine(config.clone());
+        let (_, wal) = crashed_journal(&engine, &test);
+        // The same incidents embedded another way: another warm base.
+        let dataset = dataset();
+        let split = dataset.split(7, 0.6);
+        let prepared = PreparedDataset::prepare(&dataset, &split);
+        let other = RcaCopilot::train_with_embedder(
+            &prepared.train_examples(&config.spec),
+            Embedder::GenericLm { dim: 24 },
+            quick_config(),
+        );
+        let other = ServeEngine::new(other, config);
+        let mut journal = wal.clone();
+        let err = other
+            .run_with_wal(&test, &StreamConfig::replay(), &mut journal)
+            .expect_err("another warm base");
+        let WalError::WarmBase(mismatch) = &err else {
+            panic!("expected a warm-base mismatch, got {err:?}");
+        };
+        assert_eq!(
+            mismatch.named,
+            WarmBase::of(engine.copilot().index().entries())
+        );
+        assert_eq!(
+            mismatch.found,
+            WarmBase::of(other.copilot().index().entries())
+        );
+        assert!(err.to_string().contains("warm base"), "{err}");
+        assert_eq!(journal.serialized(), wal.serialized(), "nothing ran");
     }
 
     #[test]

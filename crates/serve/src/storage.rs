@@ -5,8 +5,10 @@
 //!
 //! - [`DurableFile`]: the real thing — an append-only file whose
 //!   [`WalSink::sync`] is `fsync`, whose [`WalSink::rewrite`] goes
-//!   through a temp file + atomic rename, and whose open cleans up the
-//!   stale `.tmp` a crash between temp-write and rename leaves behind.
+//!   through a temp file + atomic rename and then fsyncs the directory,
+//!   and whose open fsyncs the directory after creating the journal and
+//!   cleans up the stale `.tmp` a crash between temp-write and rename
+//!   leaves behind.
 //! - [`SimDisk`]: a seeded in-memory disk with *page-granular crash
 //!   persistence*. It records the full operation history (writes, fsync
 //!   barriers, atomic rewrites) so a test can ask, after the fact, "what
@@ -25,8 +27,8 @@
 //! so the WAL's recovery invariants are *searched*, not spot-checked.
 //!
 //! The module also owns the CRC32C ([`crc32c`]) used by the WAL's
-//! per-record framing — the Castagnoli polynomial, computed with a
-//! const-built table (no external crates).
+//! per-record framing — the Castagnoli polynomial, computed eight bytes
+//! at a time from const-built tables (no external crates).
 
 use rcacopilot_core::retrieval::fnv1a;
 use rcacopilot_simcloud::StorageFaultPlan;
@@ -58,11 +60,44 @@ const CRC32C_TABLE: [u32; 256] = {
     table
 };
 
+/// Slicing-by-8 tables, built at compile time: `CRC32C_SLICES[k][b]` is
+/// the CRC register contribution of byte `b` followed by `k` zero bytes,
+/// so one step folds eight bytes with eight independent lookups.
+static CRC32C_SLICES: [[u32; 256]; 8] = {
+    let mut slices = [CRC32C_TABLE; 8];
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = slices[k - 1][i];
+            slices[k][i] = (prev >> 8) ^ CRC32C_TABLE[(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    slices
+};
+
 /// CRC-32C (Castagnoli) of `bytes` — the checksum behind the WAL's
-/// per-record framing.
+/// per-record framing. Eight bytes per step (slicing-by-8), then the
+/// tail a byte at a time.
 pub fn crc32c(bytes: &[u8]) -> u32 {
+    let t = &CRC32C_SLICES;
     let mut crc = !0u32;
-    for &b in bytes {
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
         crc = (crc >> 8) ^ CRC32C_TABLE[((crc ^ u32::from(b)) & 0xFF) as usize];
     }
     !crc
@@ -135,12 +170,45 @@ pub trait WalSink: std::fmt::Debug + Send {
 pub struct DurableFile {
     file: File,
     path: PathBuf,
-    /// Wall nanos spent in `sync_data` calls (appends and rewrites).
+    /// Wall nanos spent in durability barriers: `sync_data` on appends
+    /// and rewrites, and the directory fsyncs after create and rename.
     sync_nanos: u64,
 }
 
+/// The directory holding `path`: its parent, or `.` for a bare file
+/// name.
+fn parent_dir(path: &Path) -> &Path {
+    match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    }
+}
+
+/// Fsyncs the directory holding `path`, so that a file created or
+/// renamed there keeps its name after a power loss.
+#[cfg(unix)]
+fn sync_parent_dir(path: &Path) -> std::io::Result<()> {
+    File::open(parent_dir(path))?.sync_all()
+}
+
+/// Directories cannot be opened for fsync here; the rename is as durable
+/// as the platform makes it.
+#[cfg(not(unix))]
+fn sync_parent_dir(_path: &Path) -> std::io::Result<()> {
+    Ok(())
+}
+
+/// Runs one durability barrier and adds its wall time to `total`.
+fn timed_sync(total: &mut u64, sync: impl FnOnce() -> std::io::Result<()>) -> std::io::Result<()> {
+    let t0 = std::time::Instant::now();
+    let result = sync();
+    *total = total.saturating_add(u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX));
+    result
+}
+
 impl DurableFile {
-    /// Opens (or creates) the journal file at `path`.
+    /// Opens (or creates) the journal file at `path`, and fsyncs the
+    /// directory so that a newly created journal keeps its name.
     ///
     /// A stale `<path minus extension>.tmp` — the debris of a crash
     /// between a checkpoint fold's temp-file write and its rename — is
@@ -151,16 +219,19 @@ impl DurableFile {
     ///
     /// # Errors
     ///
-    /// Returns the I/O error from creating or syncing the file.
+    /// Returns the I/O error from creating or syncing the file or its
+    /// directory.
     pub fn open(path: impl AsRef<Path>) -> std::io::Result<Self> {
         let path = path.as_ref().to_path_buf();
         let _ = std::fs::remove_file(path.with_extension("tmp"));
         let file = OpenOptions::new().create(true).append(true).open(&path)?;
         file.sync_data()?;
+        let mut sync_nanos = 0;
+        timed_sync(&mut sync_nanos, || sync_parent_dir(&path))?;
         Ok(DurableFile {
             file,
             path,
-            sync_nanos: 0,
+            sync_nanos,
         })
     }
 
@@ -176,12 +247,7 @@ impl WalSink for DurableFile {
     }
 
     fn sync(&mut self) -> std::io::Result<()> {
-        let t0 = std::time::Instant::now();
-        let result = self.file.sync_data();
-        self.sync_nanos = self
-            .sync_nanos
-            .saturating_add(t0.elapsed().as_nanos().min(u64::MAX as u128) as u64);
-        result
+        timed_sync(&mut self.sync_nanos, || self.file.sync_data())
     }
 
     fn rewrite(&mut self, contents: &[u8]) -> std::io::Result<()> {
@@ -189,12 +255,7 @@ impl WalSink for DurableFile {
         {
             let mut f = File::create(&tmp)?;
             f.write_all(contents)?;
-            let t0 = std::time::Instant::now();
-            let result = f.sync_data();
-            self.sync_nanos = self
-                .sync_nanos
-                .saturating_add(t0.elapsed().as_nanos().min(u64::MAX as u128) as u64);
-            result?;
+            timed_sync(&mut self.sync_nanos, || f.sync_data())?;
         }
         if let Err(e) = std::fs::rename(&tmp, &self.path) {
             // Don't leave the orphaned temp file beside the journal.
@@ -202,7 +263,10 @@ impl WalSink for DurableFile {
             return Err(e);
         }
         self.file = OpenOptions::new().append(true).open(&self.path)?;
-        Ok(())
+        // Until the directory is synced, a power loss can bring back the
+        // old journal and leave the fold, with every commit appended
+        // after it, in the `.tmp` that the next open deletes.
+        timed_sync(&mut self.sync_nanos, || sync_parent_dir(&self.path))
     }
 
     fn contents(&mut self) -> std::io::Result<Vec<u8>> {
@@ -575,6 +639,7 @@ impl WalSink for SimDisk {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn crc32c_matches_known_vectors() {
@@ -582,6 +647,42 @@ mod tests {
         assert_eq!(crc32c(b"123456789"), 0xE306_9283);
         assert_eq!(crc32c(b""), 0);
         assert_ne!(crc32c(b"a"), crc32c(b"b"));
+        // RFC 3720 (iSCSI) vectors, long enough for the 8-byte steps.
+        assert_eq!(crc32c(&[0u8; 32]), 0x8A91_36AA);
+        assert_eq!(crc32c(&[0xFFu8; 32]), 0x62A8_AB43);
+        let ascending: Vec<u8> = (0..32).collect();
+        assert_eq!(crc32c(&ascending), 0x46DD_794E);
+    }
+
+    /// The CRC-32C definition: one table lookup per byte.
+    fn bytewise_crc32c(bytes: &[u8]) -> u32 {
+        let mut crc = !0u32;
+        for &b in bytes {
+            crc = (crc >> 8) ^ CRC32C_TABLE[((crc ^ u32::from(b)) & 0xFF) as usize];
+        }
+        !crc
+    }
+
+    proptest! {
+        /// Slicing-by-8 equals the bytewise loop at every length up to
+        /// 256 and at every alignment of the slice.
+        #[test]
+        fn sliced_crc32c_equals_the_bytewise_loop(
+            bytes in proptest::collection::vec(0u8..=255, 264..265),
+            offset in 0usize..8,
+            len in 0usize..257,
+        ) {
+            let slice = &bytes[offset..offset + len];
+            prop_assert_eq!(crc32c(slice), bytewise_crc32c(slice));
+        }
+    }
+
+    #[test]
+    fn parent_dir_of_a_bare_name_is_the_working_directory() {
+        assert_eq!(parent_dir(Path::new("journal.wal")), Path::new("."));
+        assert_eq!(parent_dir(Path::new("./journal.wal")), Path::new("."));
+        assert_eq!(parent_dir(Path::new("a/b/journal.wal")), Path::new("a/b"));
+        assert_eq!(parent_dir(Path::new("/journal.wal")), Path::new("/"));
     }
 
     fn clean_disk() -> SimDisk {

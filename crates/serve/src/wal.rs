@@ -7,7 +7,12 @@
 //! epoch publishes and OCE feedback corrections — as checksummed JSON
 //! lines, and periodically folds the journal into a single
 //! [`WalRecord::Checkpoint`] carrying the committed records plus a
-//! serialized [`ShardedCheckpoint`] of the retrieval index.
+//! serialized [`ShardedCheckpoint`] of the retrieval index. The index
+//! checkpoint names the trained history the index was warmed from by a
+//! [`WarmBase`](rcacopilot_core::retrieval::WarmBase) digest and lists
+//! only the entries inserted after it, so a fold costs what the stream
+//! added, not the whole index; a checkpoint written without a base lists
+//! every entry and still restores.
 //!
 //! **Recovery invariant**: a run resumed from a WAL produces a prediction
 //! log byte-identical to the uninterrupted run, for any worker count and
@@ -84,7 +89,7 @@
 
 use crate::engine::EventRecord;
 use crate::storage::{crc32c, is_out_of_space, DurableFile, WalSink};
-use rcacopilot_core::retrieval::{CheckpointEntry, ShardedCheckpoint};
+use rcacopilot_core::retrieval::{BaseMismatch, CheckpointEntry, ShardedCheckpoint};
 use rcacopilot_telemetry::ids::TenantId;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
@@ -136,7 +141,8 @@ pub enum WalRecord {
         committed: usize,
         /// The committed records, stream order.
         records: Vec<EventRecord>,
-        /// Serialized online-index state (`None` in frozen-index mode).
+        /// Serialized online-index state: the entries after its warm
+        /// base, which it names (`None` in frozen-index mode).
         index: Option<ShardedCheckpoint>,
         /// Tenant whose stream the checkpoint folds.
         tenant: TenantId,
@@ -175,6 +181,9 @@ pub enum WalError {
         /// The sequence number found.
         found: usize,
     },
+    /// The journal's index checkpoint names a warm base other than the
+    /// resuming engine's trained history, so it cannot be restored.
+    WarmBase(BaseMismatch),
 }
 
 impl fmt::Display for WalError {
@@ -186,6 +195,7 @@ impl fmt::Display for WalError {
             WalError::Gap { expected, found } => {
                 write!(f, "WAL commit gap: expected seq {expected}, found {found}")
             }
+            WalError::WarmBase(mismatch) => write!(f, "WAL checkpoint: {mismatch}"),
         }
     }
 }
@@ -209,7 +219,11 @@ pub struct QuarantinedRecord {
 pub struct Recovery {
     /// Committed event records, stream order (the prefix `0..committed`).
     pub records: Vec<EventRecord>,
-    /// Index checkpoint to rebuild from, if one was folded.
+    /// Index checkpoint to rebuild from, if one was folded. It restores
+    /// over the warm base it names ([`ServeEngine::run_with_wal`] passes
+    /// the copilot's trained history).
+    ///
+    /// [`ServeEngine::run_with_wal`]: crate::engine::ServeEngine::run_with_wal
     pub checkpoint: Option<ShardedCheckpoint>,
     /// Index entries journaled after the checkpoint — commits and
     /// feedback corrections interleaved — in journal order.
@@ -1487,5 +1501,80 @@ mod tests {
         let loaded = WriteAheadLog::load_bytes(&bytes);
         assert_eq!(loaded.quarantined().len(), 1);
         assert_eq!(loaded.recover().unwrap().committed(), 0);
+    }
+
+    /// One Commit, one Epoch and one Feedback record whose text needs
+    /// every kind of JSON escape next to plain multi-byte text.
+    fn golden_journal() -> WriteAheadLog {
+        use rcacopilot_core::pipeline::RcaPrediction;
+        use rcacopilot_core::retrieval::HistoricalEntry;
+        let text = "q\" b\\ n\n t\t r\r c\u{1} é 日本";
+        let entry = CheckpointEntry {
+            entry: HistoricalEntry {
+                id: 7,
+                category: "HubPortExhaustion".to_string(),
+                summary: format!("summary {text}"),
+                at: SimTime::from_secs(3_600),
+                embedding: vec![0.5, -1.25, 3.0e-7],
+            },
+            visible_from: SimTime::from_secs(4_000),
+        };
+        let record = EventRecord {
+            seq: 0,
+            incident_idx: 3,
+            at: SimTime::from_secs(3_600),
+            severity: Severity::Sev2,
+            alert_type: AlertType::default(),
+            tenant: TenantId::default(),
+            outcome: EventOutcome::Predicted {
+                prediction: RcaPrediction {
+                    label: "HubPortExhaustion".to_string(),
+                    unseen: false,
+                    confidence: 0.8125,
+                    explanation: format!("explanation {text}"),
+                    demo_categories: vec!["HubPortExhaustion".to_string(), "FullDisk".to_string()],
+                    completeness: 1.0,
+                },
+                degraded: false,
+            },
+        };
+        let mut wal = WriteAheadLog::new();
+        wal.append(&WalRecord::Commit {
+            seq: 0,
+            record,
+            entry: Some(entry.clone()),
+        });
+        wal.append(&WalRecord::Epoch {
+            shard: 1,
+            epoch: 2,
+            committed: 1,
+            tenant: TenantId::default(),
+        });
+        wal.append(&WalRecord::Feedback {
+            entry,
+            tenant: TenantId(3),
+        });
+        wal
+    }
+
+    /// The journal's bytes, pinned to what the JSON writer and the
+    /// CRC-32C framing produced before either was rewritten for speed.
+    #[test]
+    fn journal_bytes_are_pinned() {
+        let golden = concat!(
+            r#"crc32c:c33458bd:{"Commit":{"seq":0,"record":{"seq":0,"incident_idx":3,"at":3600,"severity":"Sev2","alert_type":"DeliveryQueueBacklog","tenant":0,"outcome":{"Predicted":{"prediction":{"label":"HubPortExhaustion","unseen":false,"confidence":0.8125,"explanation":"explanation q\" b\\ n\n t\t r\r c\u0001 é 日本","demo_categories":["HubPortExhaustion","FullDisk"],"completeness":1.0},"degraded":false}}},"entry":{"entry":{"id":7,"category":"HubPortExhaustion","summary":"summary q\" b\\ n\n t\t r\r c\u0001 é 日本","at":3600,"embedding":[0.5,-1.25,0.0000003000000106112566]},"visible_from":4000}}}"#,
+            "\n",
+            r#"crc32c:c9c45e23:{"Epoch":{"shard":1,"epoch":2,"committed":1,"tenant":0}}"#,
+            "\n",
+            r#"crc32c:2e0500ef:{"Feedback":{"entry":{"entry":{"id":7,"category":"HubPortExhaustion","summary":"summary q\" b\\ n\n t\t r\r c\u0001 é 日本","at":3600,"embedding":[0.5,-1.25,0.0000003000000106112566]},"visible_from":4000},"tenant":3}}"#,
+            "\n",
+        );
+        assert_eq!(golden_journal().serialized(), golden);
+        let loaded = WriteAheadLog::load(golden);
+        assert!(loaded.quarantined().is_empty());
+        assert_eq!(
+            loaded.records().unwrap(),
+            golden_journal().records().unwrap()
+        );
     }
 }

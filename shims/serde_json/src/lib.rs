@@ -203,21 +203,30 @@ fn write_f64(out: &mut String, v: f64) {
     }
 }
 
+/// Writes `s` as a JSON string literal. Every byte that needs an escape
+/// is ASCII, so the runs between them are whole UTF-8 text and each is
+/// copied with one `push_str`.
 fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = fmt::Write::write_fmt(out, format_args!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        if !matches!(b, b'"' | b'\\' | 0x00..=0x1F) {
+            continue;
         }
+        out.push_str(&s[run..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\t' => out.push_str("\\t"),
+            b'\r' => out.push_str("\\r"),
+            _ => {
+                let _ = fmt::Write::write_fmt(out, format_args!("\\u{b:04x}"));
+            }
+        }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -428,6 +437,7 @@ impl<'a> Parser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn round_trips_nested_value() {
@@ -474,6 +484,46 @@ mod tests {
             to_string_pretty(&v).unwrap(),
             "{\n  \"rows\": [\n    1\n  ]\n}"
         );
+    }
+
+    /// The JSON string writer by its definition: one `char` at a time.
+    fn escaped_by_char(s: &str) -> String {
+        let mut out = String::from('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\t' => out.push_str("\\t"),
+                '\r' => out.push_str("\\r"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    proptest! {
+        /// Escaping in runs writes exactly what escaping each `char`
+        /// writes, and the parser reads the text back, for strings that
+        /// mix quotes, backslashes, every control character, DEL and
+        /// text of two, three and four UTF-8 bytes per character.
+        #[test]
+        fn run_escaping_equals_char_escaping(
+            picks in proptest::collection::vec(0usize..43, 0..48),
+        ) {
+            let palette: Vec<char> = (0u8..0x20)
+                .map(char::from)
+                .chain(['"', '\\', '/', 'a', 'Z', ' ', '\u{7f}', 'é', '日', '本', '😀'])
+                .collect();
+            let s: String = picks.iter().map(|&i| palette[i]).collect();
+            let mut out = String::new();
+            write_escaped(&mut out, &s);
+            prop_assert_eq!(&out, &escaped_by_char(&s));
+            let back: Value = from_str(&out).expect("parseable");
+            prop_assert_eq!(back, Value::Str(s));
+        }
     }
 
     #[test]

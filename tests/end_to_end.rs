@@ -3,8 +3,8 @@
 
 use rcacopilot::core::context::ContextSpec;
 use rcacopilot::core::eval::{evaluate_method, Method, PreparedDataset};
-use rcacopilot::core::pipeline::{RcaCopilot, RcaCopilotConfig};
-use rcacopilot::embed::{FastTextConfig, FeatureExtractor};
+use rcacopilot::core::pipeline::{Embedder, RcaCopilot, RcaCopilotConfig};
+use rcacopilot::embed::{FastTextConfig, FastTextModel, FeatureExtractor};
 use rcacopilot::llm::ModelProfile;
 use rcacopilot::simcloud::noise::NoiseProfile;
 use rcacopilot::simcloud::{generate_dataset, CampaignConfig, Topology};
@@ -118,6 +118,18 @@ fn zero_shot_baseline_runs_through_the_harness() {
 fn gpt4_profile_is_at_least_as_good_as_gpt35_on_average() {
     let (prepared, config) = small_setup();
     let spec = ContextSpec::default();
+    let examples = prepared.train_examples(&spec);
+    // The copilots differ only in profile and LLM seed, which training
+    // never reads: train the FastText embedder once, as
+    // `RcaCopilot::train` would, and share it.
+    let pairs: Vec<(String, String)> = examples
+        .iter()
+        .map(|e| (e.raw_diag.clone(), e.category.clone()))
+        .collect();
+    let fasttext = Embedder::FastText(Box::new(FastTextModel::train(
+        &pairs,
+        config.embedding.clone(),
+    )));
     let mut wins = 0;
     for seed in [1, 2, 3] {
         let mut cfg4 = config.clone();
@@ -126,8 +138,8 @@ fn gpt4_profile_is_at_least_as_good_as_gpt35_on_average() {
         let mut cfg35 = config.clone();
         cfg35.llm_seed = seed;
         cfg35.profile = ModelProfile::Gpt35;
-        let c4 = RcaCopilot::train(&prepared.train_examples(&spec), cfg4);
-        let c35 = RcaCopilot::train(&prepared.train_examples(&spec), cfg35);
+        let c4 = RcaCopilot::train_with_embedder(&examples, fasttext.clone(), cfg4);
+        let c35 = RcaCopilot::train_with_embedder(&examples, fasttext.clone(), cfg35);
         let gold = prepared.test_gold();
         let p4: Vec<String> = prepared
             .test
