@@ -94,9 +94,10 @@ impl CotEngine {
         // Long prompts degrade reading fidelity (see `length_factor`
         // above); contrastive per-option scores come from a shared helper.
         let scores = score_options(&query, &options);
+        let noise = self.option_noise(&prompt.input, scores.len());
         let mut best: Option<(usize, f64, f64)> = None; // (idx, noisy, clean)
         for (i, &(clean, _, _, _)) in scores.iter().enumerate() {
-            let noisy = clean + self.noise_for(&prompt.input, i) * length_factor;
+            let noisy = clean + noise[i] * length_factor;
             if best.is_none_or(|(_, bn, _)| noisy > bn) {
                 best = Some((i, noisy, clean));
             }
@@ -141,24 +142,62 @@ impl CotEngine {
         }
     }
 
-    /// Deterministic pseudo-Gaussian noise for `(input, option index)`.
-    fn noise_for(&self, input: &str, option_index: usize) -> f64 {
+    /// Deterministic pseudo-Gaussian noise for `(input, option index)`,
+    /// for each option index below `options`.
+    fn option_noise(&self, input: &str, options: usize) -> Vec<f64> {
         let sigma = self.profile.noise();
         if sigma == 0.0 {
-            return 0.0;
+            return vec![0.0; options];
         }
-        // Sum of three uniforms approximates a Gaussian (Irwin–Hall). Each
-        // draw hashes `"{seed}|{option_index}|{salt}|{input}"`; the input
-        // is fed to the hasher after the short key, not copied into it.
-        let mut acc = 0.0;
-        for salt in 0..3u64 {
-            let mut h = Fnv1a::new();
-            h.write(format!("{}|{}|{}|", self.seed, option_index, salt).as_bytes());
-            h.write(input.as_bytes());
-            acc += (h.finish() % 1_000_000) as f64 / 1_000_000.0 - 0.5;
+        // Sum of three uniforms approximates a Gaussian (Irwin–Hall). Draw
+        // `salt` of option `i` hashes `"{seed}|{i}|{salt}|{input}"`: one
+        // hasher per draw starts from its key, and one pass over the input
+        // feeds them all.
+        let mut seeded = Fnv1a::new();
+        write_decimal(&mut seeded, self.seed);
+        seeded.write_u8(b'|');
+        let mut draws = Vec::with_capacity(3 * options);
+        for i in 0..options as u64 {
+            let mut keyed = seeded;
+            write_decimal(&mut keyed, i);
+            keyed.write_u8(b'|');
+            for salt in 0..3u64 {
+                let mut draw = keyed;
+                write_decimal(&mut draw, salt);
+                draw.write_u8(b'|');
+                draws.push(draw);
+            }
         }
-        acc * sigma * 2.0
+        for &byte in input.as_bytes() {
+            for draw in &mut draws {
+                draw.write_u8(byte);
+            }
+        }
+        draws
+            .chunks(3)
+            .map(|salts| {
+                let acc = salts.iter().fold(0.0, |acc, h| {
+                    acc + ((h.finish() % 1_000_000) as f64 / 1_000_000.0 - 0.5)
+                });
+                acc * sigma * 2.0
+            })
+            .collect()
     }
+}
+
+/// Feeds `n` to `h` as the decimal digits `format!("{n}")` writes.
+fn write_decimal(h: &mut Fnv1a, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    h.write(&digits[start..]);
 }
 
 /// The prompt's texts in reading order: the input, then each option's
@@ -686,11 +725,10 @@ mod tests {
         #[test]
         fn scoring_matches_the_text_reference(p in arb_prompt(), engine in arb_engine()) {
             prop_assert_eq!(bits(&engine.option_scores(&p)), bits(&reference_scores(&p)));
-            for i in 0..p.options.len() {
-                prop_assert_eq!(
-                    engine.noise_for(&p.input, i).to_bits(),
-                    reference_noise(&engine, &p.input, i).to_bits()
-                );
+            let noise = engine.option_noise(&p.input, p.options.len());
+            prop_assert_eq!(noise.len(), p.options.len());
+            for (i, n) in noise.iter().enumerate() {
+                prop_assert_eq!(n.to_bits(), reference_noise(&engine, &p.input, i).to_bits());
             }
             let pred = engine.predict(&p);
             if let Some(idx) = pred.option_index {
@@ -863,12 +901,8 @@ mod tests {
         let e2 = CotEngine::new(ModelProfile::Gpt35, 5);
         assert_eq!(e1.predict(&p), e2.predict(&p));
         // Noise magnitude differs across profiles.
-        let n35 = CotEngine::new(ModelProfile::Gpt35, 5)
-            .noise_for("x", 0)
-            .abs();
-        let n4 = CotEngine::new(ModelProfile::Gpt4, 5)
-            .noise_for("x", 0)
-            .abs();
+        let n35 = CotEngine::new(ModelProfile::Gpt35, 5).option_noise("x", 1)[0].abs();
+        let n4 = CotEngine::new(ModelProfile::Gpt4, 5).option_noise("x", 1)[0].abs();
         // Same hash stream scaled by sigma: 3.33x ratio exactly.
         assert!(n35 > n4);
     }

@@ -276,6 +276,16 @@ fn parse_wal_line(line: &str) -> Result<WalRecord, String> {
     serde_json::from_str(payload).map_err(|e| format!("checksummed payload unparseable: {e}"))
 }
 
+/// The durable byte form of journal lines: each one newline-terminated.
+fn serialize_lines(lines: &[String]) -> String {
+    let mut out = String::with_capacity(lines.iter().map(|l| l.len() + 1).sum());
+    for line in lines {
+        out.push_str(line);
+        out.push('\n');
+    }
+    out
+}
+
 /// A short, char-boundary-safe prefix of rejected bytes.
 fn preview(s: &str) -> String {
     const MAX: usize = 48;
@@ -500,10 +510,11 @@ impl WriteAheadLog {
     /// append (the rewrite carries the whole journal), so it ends any
     /// durability-paused span.
     fn rewrite_sink(&mut self) {
-        let contents = self.serialized();
+        // An in-memory journal has no sink: skip copying the journal.
         let Some(sink) = self.sink.as_mut() else {
             return;
         };
+        let contents = serialize_lines(&self.lines);
         let result = match sink.rewrite(contents.as_bytes()) {
             Ok(()) => Ok(()),
             Err(e) if is_out_of_space(&e) => Err(e),
@@ -625,12 +636,7 @@ impl WriteAheadLog {
 
     /// The durable byte form: one framed record per line.
     pub fn serialized(&self) -> String {
-        let mut out = String::new();
-        for line in &self.lines {
-            out.push_str(line);
-            out.push('\n');
-        }
-        out
+        serialize_lines(&self.lines)
     }
 
     /// Parses a serialized journal. Never fails:

@@ -5,16 +5,23 @@
 //! needs a stable subword id space. This is a classic BPE trained on a
 //! corpus: start from characters, repeatedly merge the most frequent
 //! adjacent symbol pair until the target vocabulary size is reached.
+//!
+//! Training counts every adjacent pair once and then keeps the counts
+//! current: a merge rewrites only the words that hold the merged pair and
+//! applies the net change of their pair counts, and a max-heap with lazily
+//! skipped stale entries finds the next pair. It makes the same choices
+//! as recounting every pair before each merge would.
 
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap};
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap};
 
 /// End-of-word marker appended during training/encoding, so that merges do
 /// not cross word boundaries and suffixes tokenize consistently.
 const EOW: char = '\u{1}';
 
 /// A trained BPE tokenizer.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct BpeTokenizer {
     /// Symbol table: id → symbol string.
     symbols: Vec<String>,
@@ -24,91 +31,71 @@ pub struct BpeTokenizer {
     merges: HashMap<(u32, u32), (u32, u32)>,
 }
 
+/// Each distinct word as a symbol-id sequence, with its corpus frequency.
+type WordTable = Vec<(Vec<u32>, u64)>;
+
 impl BpeTokenizer {
     /// Trains a tokenizer on `corpus`, stopping at `vocab_size` symbols or
     /// when no pair occurs at least twice.
+    ///
+    /// Each merge takes the pair with the highest count, the smallest
+    /// `(left, right)` id pair among equal counts.
     ///
     /// # Panics
     ///
     /// Panics if `vocab_size` is zero.
     pub fn train(corpus: &[String], vocab_size: usize) -> Self {
         assert!(vocab_size > 0, "vocab_size must be positive");
-        let mut tok = BpeTokenizer::default();
+        let (mut tok, mut words) = Self::seed(corpus);
+        let mut pairs = PairCounts::new(&words);
+        let mut priority = 0u32;
+        while tok.symbols.len() < vocab_size {
+            let Some((best_pair, best_freq)) = pairs.pop_best() else {
+                break;
+            };
+            if best_freq < 2 {
+                break;
+            }
+            let merged_id = tok.merge(best_pair, priority);
+            priority += 1;
+            pairs.apply_merge(&mut words, best_pair, merged_id);
+        }
+        tok
+    }
 
-        // Word frequency table over lowercased whitespace words.
+    /// The symbol table seeded with every corpus character (plus the
+    /// end-of-word marker), and each distinct lowercased whitespace word
+    /// of the corpus spelled in those symbols.
+    fn seed(corpus: &[String]) -> (Self, WordTable) {
+        let mut tok = BpeTokenizer::default();
         let mut word_freq: BTreeMap<String, u64> = BTreeMap::new();
         for doc in corpus {
             for w in doc.split_whitespace() {
                 *word_freq.entry(w.to_lowercase()).or_insert(0) += 1;
             }
         }
-
-        // Seed the symbol table with single characters (+ EOW).
-        let mut char_set: Vec<char> = word_freq
-            .keys()
-            .flat_map(|w| w.chars())
-            .collect::<std::collections::BTreeSet<char>>()
-            .into_iter()
-            .collect();
-        char_set.push(EOW);
-        for c in char_set {
+        let char_set: BTreeSet<char> = word_freq.keys().flat_map(|w| w.chars()).collect();
+        for c in char_set.into_iter().chain(std::iter::once(EOW)) {
             tok.intern(c.to_string());
         }
-
-        // Represent each distinct word as a symbol-id sequence.
-        let mut words: Vec<(Vec<u32>, u64)> = word_freq
+        let id = |c| tok.char_id(c).expect("every corpus character is interned");
+        let words = word_freq
             .iter()
-            .map(|(w, f)| {
-                let mut seq: Vec<u32> = w.chars().map(|c| tok.ids[&c.to_string()]).collect();
-                seq.push(tok.ids[&EOW.to_string()]);
-                (seq, *f)
-            })
+            .map(|(w, &f)| (w.chars().chain(std::iter::once(EOW)).map(id).collect(), f))
             .collect();
+        (tok, words)
+    }
 
-        let mut priority = 0u32;
-        while tok.symbols.len() < vocab_size {
-            // Count adjacent pairs.
-            let mut pair_freq: HashMap<(u32, u32), u64> = HashMap::new();
-            for (seq, f) in &words {
-                for win in seq.windows(2) {
-                    *pair_freq.entry((win[0], win[1])).or_insert(0) += f;
-                }
-            }
-            // Deterministic best pair: max frequency, ties by pair ids.
-            let Some((&best_pair, &best_freq)) = pair_freq
-                .iter()
-                .max_by(|a, b| a.1.cmp(b.1).then_with(|| b.0.cmp(a.0)))
-            else {
-                break;
-            };
-            if best_freq < 2 {
-                break;
-            }
-            let merged_sym = format!(
-                "{}{}",
-                tok.symbols[best_pair.0 as usize], tok.symbols[best_pair.1 as usize]
-            );
-            let merged_id = tok.intern(merged_sym);
-            tok.merges.insert(best_pair, (priority, merged_id));
-            priority += 1;
-
-            // Apply the merge to every word.
-            for (seq, _) in &mut words {
-                let mut out = Vec::with_capacity(seq.len());
-                let mut i = 0;
-                while i < seq.len() {
-                    if i + 1 < seq.len() && (seq[i], seq[i + 1]) == best_pair {
-                        out.push(merged_id);
-                        i += 2;
-                    } else {
-                        out.push(seq[i]);
-                        i += 1;
-                    }
-                }
-                *seq = out;
-            }
-        }
-        tok
+    /// Records the merge of `pair` at `priority` and returns the merged
+    /// symbol's id, an existing one when another pair already spelled it.
+    fn merge(&mut self, pair: (u32, u32), priority: u32) -> u32 {
+        let merged_sym = format!(
+            "{}{}",
+            self.symbols[pair.0 as usize], self.symbols[pair.1 as usize]
+        );
+        let merged_id = self.intern(merged_sym);
+        self.merges.insert(pair, (priority, merged_id));
+        merged_id
     }
 
     fn intern(&mut self, sym: String) -> u32 {
@@ -121,6 +108,12 @@ impl BpeTokenizer {
         id
     }
 
+    /// The id of the one-character symbol `c`, looked up without
+    /// allocating a `String`.
+    fn char_id(&self, c: char) -> Option<u32> {
+        self.ids.get(&*c.encode_utf8(&mut [0u8; 4])).copied()
+    }
+
     /// Number of symbols in the vocabulary.
     pub fn vocab_size(&self) -> usize {
         self.symbols.len()
@@ -129,32 +122,43 @@ impl BpeTokenizer {
     /// Encodes `text` into symbol ids. Unknown characters are skipped.
     pub fn encode(&self, text: &str) -> Vec<u32> {
         let mut out = Vec::new();
+        let mut rules = Vec::new();
+        let eow = self.char_id(EOW);
         for word in text.split_whitespace() {
-            let lower = word.to_lowercase();
-            let mut seq: Vec<u32> = lower
-                .chars()
-                .filter_map(|c| self.ids.get(&c.to_string()).copied())
-                .collect();
-            if let Some(&eow) = self.ids.get(&EOW.to_string()) {
-                seq.push(eow);
-            }
-            // Repeatedly apply the highest-priority applicable merge.
-            loop {
-                let mut best: Option<(u32, usize, u32)> = None; // (priority, pos, merged)
-                for (pos, win) in seq.windows(2).enumerate() {
-                    if let Some(&(prio, merged)) = self.merges.get(&(win[0], win[1])) {
-                        if best.is_none_or(|(bp, _, _)| prio < bp) {
-                            best = Some((prio, pos, merged));
-                        }
-                    }
-                }
-                let Some((_, pos, merged)) = best else { break };
-                seq[pos] = merged;
-                seq.remove(pos + 1);
-            }
-            out.extend(seq);
+            let start = out.len();
+            out.extend(word.to_lowercase().chars().filter_map(|c| self.char_id(c)));
+            out.extend(eow);
+            self.apply_merges(&mut out, start, &mut rules);
         }
         out
+    }
+
+    /// Repeatedly applies, to `seq[start..]` (one word's symbols), the
+    /// highest-priority merge at its leftmost position. Each adjacent
+    /// pair's rule is looked up once, and again only next to a merge;
+    /// `rules` is scratch space.
+    fn apply_merges(&self, seq: &mut Vec<u32>, start: usize, rules: &mut Vec<Option<(u32, u32)>>) {
+        let rule = |win: &[u32]| self.merges.get(&(win[0], win[1])).copied();
+        rules.clear();
+        rules.extend(seq[start..].windows(2).map(rule));
+        // (priority, position, merged id) of the next merge.
+        while let Some((_, pos, merged)) = rules
+            .iter()
+            .enumerate()
+            .filter_map(|(pos, r)| r.map(|(prio, merged)| (prio, pos, merged)))
+            .min()
+        {
+            let at = start + pos;
+            seq[at] = merged;
+            seq.remove(at + 1);
+            rules.remove(pos);
+            if pos < rules.len() {
+                rules[pos] = rule(&seq[at..at + 2]);
+            }
+            if pos > 0 {
+                rules[pos - 1] = rule(&seq[at - 1..at + 1]);
+            }
+        }
     }
 
     /// Number of BPE tokens in `text` — the reproduction's token counter.
@@ -208,9 +212,229 @@ impl BpeTokenizer {
     }
 }
 
+/// An adjacent symbol pair packed into one `u64`, left id in the high
+/// half, so keys order as `(left, right)` tuples do.
+fn pair_key(left: u32, right: u32) -> u64 {
+    u64::from(left) << 32 | u64::from(right)
+}
+
+/// Adjacent-pair counts over a word table, kept current across merges.
+struct PairCounts {
+    /// Every pair some word holds, with the summed frequency of its
+    /// occurrences.
+    counts: HashMap<u64, u64>,
+    /// The words (indices into the table) that may hold each pair. Every
+    /// holder is listed, perhaps twice, beside words that lost the pair.
+    holders: HashMap<u64, Vec<u32>>,
+    /// `(count, Reverse(pair))` for each count a pair took on: the top is
+    /// the highest count, the smallest pair among equal counts. An entry
+    /// whose count differs from `counts` is stale.
+    heap: BinaryHeap<(u64, Reverse<u64>)>,
+}
+
+impl PairCounts {
+    fn new(words: &WordTable) -> Self {
+        let mut counts = HashMap::new();
+        let mut holders: HashMap<u64, Vec<u32>> = HashMap::new();
+        for (w, (seq, freq)) in (0u32..).zip(words) {
+            for win in seq.windows(2) {
+                let key = pair_key(win[0], win[1]);
+                *counts.entry(key).or_insert(0) += freq;
+                holders.entry(key).or_default().push(w);
+            }
+        }
+        let heap = counts.iter().map(|(&key, &c)| (c, Reverse(key))).collect();
+        PairCounts {
+            counts,
+            holders,
+            heap,
+        }
+    }
+
+    /// Pops the pair with the highest count, the smallest pair among equal
+    /// counts, with its count; stale entries on the way are dropped.
+    fn pop_best(&mut self) -> Option<((u32, u32), u64)> {
+        while let Some((count, Reverse(key))) = self.heap.pop() {
+            if self.counts.get(&key) == Some(&count) {
+                return Some((((key >> 32) as u32, key as u32), count));
+            }
+        }
+        None
+    }
+
+    /// Merges `pair` into `merged` in every word that holds it and applies
+    /// the net change of their pair counts.
+    fn apply_merge(&mut self, words: &mut WordTable, pair: (u32, u32), merged: u32) {
+        let mut holders = self
+            .holders
+            .remove(&pair_key(pair.0, pair.1))
+            .unwrap_or_default();
+        holders.sort_unstable();
+        holders.dedup();
+        let mut delta: HashMap<u64, i64> = HashMap::new();
+        let mut sites = Vec::new();
+        for w in holders {
+            let (seq, freq) = &mut words[w as usize];
+            let freq = i64::try_from(*freq).expect("a word frequency fits in i64");
+            merge_word(seq, pair, merged, &mut sites, |key, sign| {
+                *delta.entry(key).or_insert(0) += sign * freq;
+                if sign > 0 {
+                    self.holders.entry(key).or_default().push(w);
+                }
+            });
+        }
+        for (key, change) in delta {
+            if change == 0 {
+                continue;
+            }
+            let count = self.counts.entry(key).or_insert(0);
+            *count = count
+                .checked_add_signed(change)
+                .expect("a pair count never falls below zero");
+            if *count == 0 {
+                self.counts.remove(&key);
+            } else {
+                self.heap.push((*count, Reverse(key)));
+            }
+        }
+    }
+}
+
+/// Rewrites `seq` as a full recount's merge does, each occurrence of
+/// `pair` (left to right, without overlap) becoming `merged`, and reports
+/// every adjacent pair the rewrite removes as `change(key, -1)` and every
+/// one it adds as `change(key, 1)`. A window that touches no occurrence
+/// survives the rewrite unchanged, so only windows next to one are read.
+/// `sites` is scratch space.
+fn merge_word(
+    seq: &mut Vec<u32>,
+    pair: (u32, u32),
+    merged: u32,
+    sites: &mut Vec<usize>,
+    mut change: impl FnMut(u64, i64),
+) {
+    sites.clear();
+    let mut i = 0;
+    while i + 1 < seq.len() {
+        if (seq[i], seq[i + 1]) == pair {
+            sites.push(i);
+            i += 2;
+        } else {
+            i += 1;
+        }
+    }
+    if sites.is_empty() {
+        return; // a holder that lost the pair to an earlier merge
+    }
+    // Windows starting at i - 1, i and i + 1 touch the occurrence at i;
+    // `next` keeps neighbouring occurrences from reading one twice.
+    let mut next = 0;
+    for &i in sites.iter() {
+        let end = (i + 2).min(seq.len() - 1);
+        for s in i.saturating_sub(1).max(next)..end {
+            change(pair_key(seq[s], seq[s + 1]), -1);
+        }
+        next = end;
+    }
+    // Rewrite in place, moving each site to the merged symbol's position.
+    let (mut read, mut write) = (0, 0);
+    for site in sites.iter_mut() {
+        seq.copy_within(read..*site, write);
+        write += *site - read;
+        seq[write] = merged;
+        read = *site + 2;
+        *site = write;
+        write += 1;
+    }
+    seq.copy_within(read.., write);
+    seq.truncate(write + seq.len() - read);
+    // Windows starting at p - 1 and p touch the merged symbol at p.
+    let mut next = 0;
+    for &p in sites.iter() {
+        let end = (p + 1).min(seq.len() - 1);
+        for s in p.saturating_sub(1).max(next)..end {
+            change(pair_key(seq[s], seq[s + 1]), 1);
+        }
+        next = end;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Reference: the trainer that recounts every adjacent pair of every
+    /// word before each merge and rewrites every word.
+    pub(super) fn reference_train(corpus: &[String], vocab_size: usize) -> BpeTokenizer {
+        let (mut tok, mut words) = BpeTokenizer::seed(corpus);
+        let mut priority = 0u32;
+        while tok.symbols.len() < vocab_size {
+            let mut pair_freq: HashMap<(u32, u32), u64> = HashMap::new();
+            for (seq, f) in &words {
+                for win in seq.windows(2) {
+                    *pair_freq.entry((win[0], win[1])).or_insert(0) += f;
+                }
+            }
+            // Deterministic best pair: max frequency, ties by pair ids.
+            let Some((&best_pair, &best_freq)) = pair_freq
+                .iter()
+                .max_by(|a, b| a.1.cmp(b.1).then_with(|| b.0.cmp(a.0)))
+            else {
+                break;
+            };
+            if best_freq < 2 {
+                break;
+            }
+            let merged_id = tok.merge(best_pair, priority);
+            priority += 1;
+            for (seq, _) in &mut words {
+                let mut out = Vec::with_capacity(seq.len());
+                let mut i = 0;
+                while i < seq.len() {
+                    if i + 1 < seq.len() && (seq[i], seq[i + 1]) == best_pair {
+                        out.push(merged_id);
+                        i += 2;
+                    } else {
+                        out.push(seq[i]);
+                        i += 1;
+                    }
+                }
+                *seq = out;
+            }
+        }
+        tok
+    }
+
+    /// Reference: encoding that looks up every adjacent pair of a word
+    /// again after each merge.
+    pub(super) fn reference_encode(tok: &BpeTokenizer, text: &str) -> Vec<u32> {
+        let mut out = Vec::new();
+        for word in text.split_whitespace() {
+            let lower = word.to_lowercase();
+            let mut seq: Vec<u32> = lower
+                .chars()
+                .filter_map(|c| tok.ids.get(&c.to_string()).copied())
+                .collect();
+            if let Some(&eow) = tok.ids.get(&EOW.to_string()) {
+                seq.push(eow);
+            }
+            loop {
+                let mut best: Option<(u32, usize, u32)> = None; // (priority, pos, merged)
+                for (pos, win) in seq.windows(2).enumerate() {
+                    if let Some(&(prio, merged)) = tok.merges.get(&(win[0], win[1])) {
+                        if best.is_none_or(|(bp, _, _)| prio < bp) {
+                            best = Some((prio, pos, merged));
+                        }
+                    }
+                }
+                let Some((_, pos, merged)) = best else { break };
+                seq[pos] = merged;
+                seq.remove(pos + 1);
+            }
+            out.extend(seq);
+        }
+        out
+    }
 
     fn corpus() -> Vec<String> {
         vec![
@@ -289,6 +513,35 @@ mod tests {
     }
 
     #[test]
+    fn a_merge_that_spells_an_existing_symbol_reuses_its_id() {
+        // Training applies every merge to every word, so no corpus leads
+        // two pairs to one symbol; this word table is built by hand: one
+        // word already merged `ab`, the other `bc`.
+        let (mut tok, _) = BpeTokenizer::seed(&["abc".to_string()]);
+        let [a, b, c, eow] = ["a", "b", "c", "\u{1}"].map(|s| tok.ids[s]);
+        let ab = tok.merge((a, b), 0);
+        let bc = tok.merge((b, c), 1);
+        let mut words = vec![(vec![ab, c, eow], 2), (vec![a, bc, eow, a, bc], 3)];
+        let mut pairs = PairCounts::new(&words);
+
+        let abc = tok.merge((ab, c), 2);
+        pairs.apply_merge(&mut words, (ab, c), abc);
+        let vocab = tok.vocab_size();
+        assert_eq!(tok.merge((a, bc), 3), abc);
+        assert_eq!(tok.vocab_size(), vocab);
+        assert_eq!(tok.merges[&(ab, c)], (2, abc));
+        assert_eq!(tok.merges[&(a, bc)], (3, abc));
+
+        pairs.apply_merge(&mut words, (a, bc), abc);
+        assert_eq!(words, vec![(vec![abc, eow], 2), (vec![abc, eow, abc], 3)]);
+        let recount = PairCounts::new(&words);
+        assert_eq!(pairs.counts, recount.counts);
+        assert_eq!(pairs.pop_best(), Some(((abc, eow), 5)));
+        assert_eq!(pairs.pop_best(), Some(((eow, abc), 3)));
+        assert_eq!(pairs.pop_best(), None);
+    }
+
+    #[test]
     fn training_is_deterministic() {
         let a = BpeTokenizer::train(&corpus(), 150);
         let b = BpeTokenizer::train(&corpus(), 150);
@@ -336,6 +589,34 @@ mod proptests {
             let tok = BpeTokenizer::train(&corpus, 150);
             let joined = format!("{a} {b}");
             prop_assert!(tok.count_tokens(&joined) <= tok.count_tokens(&a) + tok.count_tokens(&b) + 1);
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn incremental_training_and_encoding_match_the_references(
+            // Runs of one letter (overlapping pairs such as `aaaa`), upper
+            // case that folds into lower case, `İ` (two characters in
+            // lower case), `Σ` (final sigma at a word's end), `é`, CJK and
+            // the end-of-word marker itself.
+            docs in proptest::collection::vec("[aaaaabbbcAB \u{1}\u{130}\u{3a3}\u{e9}\u{4e2d}\u{6587}]{0,24}", 0..6),
+            blank in proptest::sample::select(vec!["", " ", " \t\n\u{3000}"]),
+            extra in 0..40usize,
+            // Characters outside the vocabulary are skipped.
+            text in "[aaaabbcBC xyz\u{130}\u{3a3}\u{3c3}\u{3c2}\u{e9}\u{4e2d}\u{1}\t]{0,40}",
+        ) {
+            let mut corpus = docs;
+            corpus.push(blank.to_string());
+            let alphabet = BpeTokenizer::seed(&corpus).0.vocab_size();
+            // Below the alphabet, at it, within the merges, and past the
+            // last pair seen twice.
+            for vocab_size in [alphabet.saturating_sub(1).max(1), alphabet, alphabet + extra, usize::MAX] {
+                let tok = BpeTokenizer::train(&corpus, vocab_size);
+                prop_assert_eq!(&tok, &super::tests::reference_train(&corpus, vocab_size));
+                for t in corpus.iter().chain([&text]) {
+                    prop_assert_eq!(tok.encode(t), super::tests::reference_encode(&tok, t));
+                }
+            }
         }
     }
 }
