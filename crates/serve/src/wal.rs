@@ -1509,11 +1509,12 @@ mod tests {
         assert_eq!(loaded.recover().unwrap().committed(), 0);
     }
 
-    /// One Commit, one Epoch and one Feedback record whose text needs
-    /// every kind of JSON escape next to plain multi-byte text.
+    /// One Commit, one Epoch, one Feedback and one Checkpoint record
+    /// whose text needs every kind of JSON escape next to plain
+    /// multi-byte text. The checkpoint's index names a warm base.
     fn golden_journal() -> WriteAheadLog {
         use rcacopilot_core::pipeline::RcaPrediction;
-        use rcacopilot_core::retrieval::HistoricalEntry;
+        use rcacopilot_core::retrieval::{HistoricalEntry, WarmBase};
         let text = "q\" b\\ n\n t\t r\r c\u{1} é 日本";
         let entry = CheckpointEntry {
             entry: HistoricalEntry {
@@ -1547,7 +1548,7 @@ mod tests {
         let mut wal = WriteAheadLog::new();
         wal.append(&WalRecord::Commit {
             seq: 0,
-            record,
+            record: record.clone(),
             entry: Some(entry.clone()),
         });
         wal.append(&WalRecord::Epoch {
@@ -1557,14 +1558,27 @@ mod tests {
             tenant: TenantId::default(),
         });
         wal.append(&WalRecord::Feedback {
-            entry,
+            entry: entry.clone(),
             tenant: TenantId(3),
+        });
+        wal.append(&WalRecord::Checkpoint {
+            committed: 1,
+            records: vec![record],
+            index: Some(ShardedCheckpoint {
+                max_cell: 64,
+                shard_epochs: vec![1, 2],
+                base: Some(WarmBase::of(std::slice::from_ref(&entry.entry))),
+                entries: vec![entry],
+            }),
+            tenant: TenantId::default(),
         });
         wal
     }
 
     /// The journal's bytes, pinned to what the JSON writer and the
     /// CRC-32C framing produced before either was rewritten for speed.
+    /// The Checkpoint line was pinned while an index's warm base was
+    /// still optional; the JSON shim writes `Some(base)` as `base`.
     #[test]
     fn journal_bytes_are_pinned() {
         let golden = concat!(
@@ -1573,6 +1587,8 @@ mod tests {
             r#"crc32c:c9c45e23:{"Epoch":{"shard":1,"epoch":2,"committed":1,"tenant":0}}"#,
             "\n",
             r#"crc32c:2e0500ef:{"Feedback":{"entry":{"entry":{"id":7,"category":"HubPortExhaustion","summary":"summary q\" b\\ n\n t\t r\r c\u0001 é 日本","at":3600,"embedding":[0.5,-1.25,0.0000003000000106112566]},"visible_from":4000},"tenant":3}}"#,
+            "\n",
+            r#"crc32c:63e02aa8:{"Checkpoint":{"committed":1,"records":[{"seq":0,"incident_idx":3,"at":3600,"severity":"Sev2","alert_type":"DeliveryQueueBacklog","tenant":0,"outcome":{"Predicted":{"prediction":{"label":"HubPortExhaustion","unseen":false,"confidence":0.8125,"explanation":"explanation q\" b\\ n\n t\t r\r c\u0001 é 日本","demo_categories":["HubPortExhaustion","FullDisk"],"completeness":1.0},"degraded":false}}}],"index":{"max_cell":64,"shard_epochs":[1,2],"entries":[{"entry":{"id":7,"category":"HubPortExhaustion","summary":"summary q\" b\\ n\n t\t r\r c\u0001 é 日本","at":3600,"embedding":[0.5,-1.25,0.0000003000000106112566]},"visible_from":4000}],"base":{"len":1,"digest":803578032974875176}},"tenant":0}}"#,
             "\n",
         );
         assert_eq!(golden_journal().serialized(), golden);
