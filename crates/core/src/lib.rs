@@ -46,9 +46,7 @@ pub use collection::{CollectedIncident, CollectionStage, KnownIssueDb};
 pub use context::ContextSpec;
 pub use eval::{evaluate_method, MethodReport, PreparedDataset};
 pub use feedback::{FeedbackStore, Verdict};
-pub use memo::{
-    namespaced_key, ExactMemo, MemoCache, MemoPolicy, NamespacedMemo, NoMemo, ShingleMemo,
-};
+pub use memo::{namespaced_key, ExactMemo, MemoCache, MemoPolicy, NamespacedMemo, NoMemo};
 pub use metrics::{f1_scores, F1Report};
 pub use pipeline::{RcaCopilot, RcaCopilotConfig, RcaPrediction};
 pub use plan::{InferencePlan, PlanCaches, PlanExecutor, PlanOutcome, SummarizeMode};

@@ -1,22 +1,16 @@
 //! Content-keyed memoization for the expensive per-incident stages, plus
-//! the pluggable policy deciding *which* key (if any) a stage uses.
+//! the pluggable policy deciding the key (if any) those stages use.
 //!
 //! Monitors flap: the same incident is frequently re-raised with
-//! byte-identical — or near-identical — diagnostics. Summarization and
-//! embedding are pure functions of the collected text, so both planes
-//! (batch eval and online serving) memoize them behind a 64-bit content
-//! key produced by a [`MemoPolicy`]:
+//! byte-identical diagnostics. Summarization and embedding are pure
+//! functions of the collected text, so both planes (batch eval and
+//! online serving) memoize them behind a 64-bit content key produced by
+//! a [`MemoPolicy`]:
 //!
 //! - [`ExactMemo`] hashes the raw bytes with FNV-1a — a cache hit returns
 //!   the exact value a recomputation would, which keeps every output
 //!   independent of hit/miss patterns (and therefore of worker
 //!   scheduling). This is the default policy on both planes.
-//! - [`ShingleMemo`] canonicalizes the text (entity masking + word
-//!   k-shingle min-hash sketch) before hashing, so near-identical
-//!   diagnostic storms — the same flapping monitor re-raising with fresh
-//!   timestamps and counters — share one summary. It trades byte-level
-//!   reproducibility of the summary text for a strictly higher hit rate
-//!   on storm workloads, and is therefore opt-in.
 //! - [`NoMemo`] disables caching entirely (the historical batch-plane
 //!   behavior).
 //! - [`NamespacedMemo`] wraps any of the above and salts its keys with a
@@ -33,7 +27,6 @@
 //! recomputation).
 
 use crate::retrieval::fnv1a;
-use rcacopilot_textkit::normalize::{mask_entities, normalize, tokenize};
 use std::collections::HashMap;
 use std::fmt::Debug;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -42,9 +35,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 /// Thread-safe memoization cache, sharded by key.
 ///
 /// Values must be pure functions of the key; the cache then never changes
-/// observable results, only the work done to produce them. (Near-dup
-/// policies weaken "pure function of the key" to "pure function of the
-/// first text that produced the key" — see [`ShingleMemo`].)
+/// observable results, only the work done to produce them.
 #[derive(Debug)]
 pub struct MemoCache<V: Clone> {
     shards: Vec<Mutex<MemoInner<V>>>,
@@ -151,23 +142,20 @@ impl<V: Clone> MemoCache<V> {
     }
 }
 
-/// Decides which memo key (if any) each cacheable stage uses for a given
+/// Decides which memo key (if any) the cacheable stages use for a given
 /// raw diagnostic text.
 ///
-/// Returning `None` bypasses the cache for that stage: the stage runs
-/// unconditionally and stores nothing. Returning `Some(k)` means "any two
-/// texts mapping to `k` may share one computed value" — so a policy's keys
-/// define its notion of equivalence, from byte equality ([`ExactMemo`])
-/// down to near-duplicate similarity ([`ShingleMemo`]).
+/// Returning `None` bypasses the caches: each stage runs unconditionally
+/// and stores nothing. Returning `Some(k)` means "any two texts mapping
+/// to `k` share one computed value", so a key must only be shared by
+/// texts every stage treats alike. Summarization and embedding keep
+/// separate caches under the same key.
 pub trait MemoPolicy: Debug + Send + Sync {
     /// Stable policy name, surfaced in serving reports and bench output.
     fn name(&self) -> &'static str;
 
-    /// Memo key for the summarization stage, or `None` to bypass.
-    fn summary_key(&self, raw_diag: &str) -> Option<u64>;
-
-    /// Memo key for the embedding stage, or `None` to bypass.
-    fn embed_key(&self, raw_diag: &str) -> Option<u64>;
+    /// Memo key for `raw_diag`, or `None` to bypass the caches.
+    fn key(&self, raw_diag: &str) -> Option<u64>;
 }
 
 /// No memoization at all: the historical batch-plane behavior.
@@ -179,11 +167,7 @@ impl MemoPolicy for NoMemo {
         "none"
     }
 
-    fn summary_key(&self, _raw_diag: &str) -> Option<u64> {
-        None
-    }
-
-    fn embed_key(&self, _raw_diag: &str) -> Option<u64> {
+    fn key(&self, _raw_diag: &str) -> Option<u64> {
         None
     }
 }
@@ -202,95 +186,7 @@ impl MemoPolicy for ExactMemo {
         "exact"
     }
 
-    fn summary_key(&self, raw_diag: &str) -> Option<u64> {
-        Some(fnv1a(raw_diag.as_bytes()))
-    }
-
-    fn embed_key(&self, raw_diag: &str) -> Option<u64> {
-        Some(fnv1a(raw_diag.as_bytes()))
-    }
-}
-
-/// Near-duplicate summary sharing via a min-hash sketch of word
-/// k-shingles over entity-masked text.
-///
-/// A flapping monitor re-raises the same incident with fresh timestamps,
-/// counters, and machine names; byte hashing treats every re-raise as new
-/// work. This policy first masks those per-incident entities
-/// ([`mask_entities`]) and then sketches the masked token stream with the
-/// `sketch_size` smallest k-shingle hashes — near-identical storms
-/// collapse to one key and share one summary.
-///
-/// Only the *summary* stage is near-dup keyed: embeddings stay on the
-/// exact byte hash, because retrieval similarity should still see the
-/// real text, and because the embedding is cheap relative to
-/// summarization in the simulated cost model.
-///
-/// Trade-off: with multiple serving workers the first storm member to
-/// insert wins, so *which* equivalent text got summarized can depend on
-/// scheduling. Keys are deterministic, but cached summary bytes are only
-/// guaranteed reproducible under single-worker or batch execution — hence
-/// the policy is opt-in and off by default.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShingleMemo {
-    /// Words per shingle (the `k` in k-shingle). Clamped to ≥ 1.
-    pub shingle_k: usize,
-    /// Number of smallest shingle hashes kept in the sketch. Clamped to ≥ 1.
-    pub sketch_size: usize,
-}
-
-impl Default for ShingleMemo {
-    fn default() -> Self {
-        ShingleMemo {
-            shingle_k: 4,
-            sketch_size: 16,
-        }
-    }
-}
-
-impl ShingleMemo {
-    /// The canonical sketch key for `raw_diag`: mask entities, normalize,
-    /// tokenize, hash every `shingle_k`-word window, keep the
-    /// `sketch_size` smallest hashes, and fold them into one 64-bit key.
-    pub fn sketch_key(&self, raw_diag: &str) -> u64 {
-        let k = self.shingle_k.max(1);
-        // Mask before normalizing: the machine-name heuristic keys on
-        // uppercase runs, which lowercasing would erase.
-        let masked = normalize(&mask_entities(raw_diag));
-        let tokens = tokenize(&masked);
-        let mut hashes: Vec<u64> = if tokens.len() < k {
-            // Degenerate short text: hash the whole token stream once.
-            vec![fnv1a(tokens.join(" ").as_bytes())]
-        } else {
-            tokens
-                .windows(k)
-                .map(|w| fnv1a(w.join(" ").as_bytes()))
-                .collect()
-        };
-        hashes.sort_unstable();
-        hashes.dedup();
-        hashes.truncate(self.sketch_size.max(1));
-        // Fold the bottom-m sketch into a single key (order is canonical
-        // after the sort, so equal sketches fold to equal keys).
-        let mut key = 0xcbf2_9ce4_8422_2325u64;
-        for h in hashes {
-            key ^= h;
-            key = key.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        key
-    }
-}
-
-impl MemoPolicy for ShingleMemo {
-    fn name(&self) -> &'static str {
-        "shingle"
-    }
-
-    fn summary_key(&self, raw_diag: &str) -> Option<u64> {
-        Some(self.sketch_key(raw_diag))
-    }
-
-    fn embed_key(&self, raw_diag: &str) -> Option<u64> {
+    fn key(&self, raw_diag: &str) -> Option<u64> {
         Some(fnv1a(raw_diag.as_bytes()))
     }
 }
@@ -301,8 +197,7 @@ impl MemoPolicy for ShingleMemo {
 /// identity, so namespacing is free to thread through single-tenant
 /// paths without perturbing any existing cache key. Any other namespace
 /// mixes both halves through FNV-1a, so two tenants sharing one physical
-/// [`MemoCache`] can never alias each other's entries — even under
-/// near-duplicate policies whose keys collide across texts by design.
+/// [`MemoCache`] never alias each other's entries.
 pub fn namespaced_key(namespace: u64, key: u64) -> u64 {
     if namespace == 0 {
         return key;
@@ -347,15 +242,9 @@ impl MemoPolicy for NamespacedMemo {
         self.inner.name()
     }
 
-    fn summary_key(&self, raw_diag: &str) -> Option<u64> {
+    fn key(&self, raw_diag: &str) -> Option<u64> {
         self.inner
-            .summary_key(raw_diag)
-            .map(|k| namespaced_key(self.namespace, k))
-    }
-
-    fn embed_key(&self, raw_diag: &str) -> Option<u64> {
-        self.inner
-            .embed_key(raw_diag)
+            .key(raw_diag)
             .map(|k| namespaced_key(self.namespace, k))
     }
 }
@@ -371,8 +260,7 @@ mod tests {
         }
         let wrapped = NamespacedMemo::new(Arc::new(ExactMemo), 0);
         let text = "probe timeout on HUB01";
-        assert_eq!(wrapped.summary_key(text), ExactMemo.summary_key(text));
-        assert_eq!(wrapped.embed_key(text), ExactMemo.embed_key(text));
+        assert_eq!(wrapped.key(text), ExactMemo.key(text));
         assert_eq!(wrapped.name(), "exact");
     }
 
@@ -381,14 +269,12 @@ mod tests {
         let text = "delivery queue backlog on forest EURPR01";
         let a = NamespacedMemo::new(Arc::new(ExactMemo), 1);
         let b = NamespacedMemo::new(Arc::new(ExactMemo), 2);
-        assert_ne!(a.summary_key(text), b.summary_key(text));
-        assert_ne!(a.embed_key(text), b.embed_key(text));
+        assert_ne!(a.key(text), b.key(text));
         // Same namespace stays deterministic.
-        assert_eq!(a.summary_key(text), a.summary_key(text));
+        assert_eq!(a.key(text), a.key(text));
         // A bypassing inner policy still bypasses.
         let none = NamespacedMemo::new(Arc::new(NoMemo), 7);
-        assert_eq!(none.summary_key(text), None);
-        assert_eq!(none.embed_key(text), None);
+        assert_eq!(none.key(text), None);
     }
 
     #[test]
@@ -398,8 +284,8 @@ mod tests {
         let text = "same bytes, different tenants";
         let t1 = NamespacedMemo::new(policy.clone(), 1);
         let t2 = NamespacedMemo::new(policy, 2);
-        let k1 = t1.summary_key(text).unwrap();
-        let k2 = t2.summary_key(text).unwrap();
+        let k1 = t1.key(text).unwrap();
+        let k2 = t2.key(text).unwrap();
         let v1 = cache.get_or_insert_with(k1, || "tenant-1 summary".to_string());
         let v2 = cache.get_or_insert_with(k2, || "tenant-2 summary".to_string());
         assert_eq!(v1, "tenant-1 summary");
@@ -489,52 +375,13 @@ mod tests {
     fn exact_policy_keys_are_byte_equality() {
         let p = ExactMemo;
         assert_eq!(p.name(), "exact");
-        assert_eq!(p.summary_key("abc"), p.summary_key("abc"));
-        assert_ne!(p.summary_key("abc"), p.summary_key("abd"));
-        assert_eq!(p.summary_key("abc"), p.embed_key("abc"));
+        assert_eq!(p.key("abc"), p.key("abc"));
+        assert_ne!(p.key("abc"), p.key("abd"));
     }
 
     #[test]
     fn no_memo_bypasses_both_stages() {
-        assert_eq!(NoMemo.summary_key("x"), None);
-        assert_eq!(NoMemo.embed_key("x"), None);
+        assert_eq!(NoMemo.key("x"), None);
         assert_eq!(NoMemo.name(), "none");
-    }
-
-    #[test]
-    fn shingle_policy_collapses_entity_churn() {
-        let p = ShingleMemo::default();
-        let a = "probe DatacenterHubOutboundProxyProbe failed on NAMPR03MB1234 \
-                 at 11/21/2022 2:04:20 with 15276 sockets held by transport \
-                 delivery process and the retry queue kept growing past limits";
-        // Same storm, re-raised: fresh machine, time, and counter.
-        let b = "probe DatacenterHubOutboundProxyProbe failed on NAMPR07MB9921 \
-                 at 11/22/2022 9:13:55 with 18903 sockets held by transport \
-                 delivery process and the retry queue kept growing past limits";
-        // Genuinely different incident text.
-        let c = "certificate chain validation error on the auth frontend while \
-                 renewing the signing credential for federated tenants today";
-        assert_eq!(
-            p.summary_key(a),
-            p.summary_key(b),
-            "storm members share a key"
-        );
-        assert_ne!(p.summary_key(a), p.summary_key(c));
-        // Embeddings stay on exact bytes.
-        assert_ne!(p.embed_key(a), p.embed_key(b));
-        assert_eq!(p.embed_key(a), ExactMemo.embed_key(a));
-    }
-
-    #[test]
-    fn shingle_sketch_handles_short_text() {
-        let p = ShingleMemo::default();
-        assert_eq!(p.sketch_key("one two"), p.sketch_key("ONE  two"));
-        assert_ne!(p.sketch_key("one two"), p.sketch_key("one three"));
-        // Zero-size configs clamp rather than panic.
-        let tiny = ShingleMemo {
-            shingle_k: 0,
-            sketch_size: 0,
-        };
-        let _ = tiny.sketch_key("some text here");
     }
 }

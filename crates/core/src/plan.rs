@@ -14,9 +14,9 @@
 //! - the retrieval parameters are part of the plan, so ablations
 //!   (Table 3 rows, Figure 12 cells) are plan *configurations* rather
 //!   than forked evaluation loops;
-//! - the [`MemoPolicy`] decides which stages are memoized and under what
-//!   notion of text equivalence, through [`PlanCaches`] shared by every
-//!   executor of the same run.
+//! - the [`MemoPolicy`] decides whether the summarize and embed stages
+//!   are memoized, through [`PlanCaches`] shared by every executor of the
+//!   same run.
 //!
 //! [`PlanExecutor`] executes the plan for one incident at a time. It is
 //! deliberately free of scheduling concerns: the serving engine wraps it
@@ -47,7 +47,7 @@ pub struct InferencePlan {
     /// Retrieval parameters, or `None` to use the pipeline's configured
     /// ones. Figure 12 sweep cells override this per plan.
     pub retrieval: Option<RetrievalConfig>,
-    /// Which stages are memoized, and under what text equivalence.
+    /// Whether the summarize and embed stages are memoized.
     pub policy: Arc<dyn MemoPolicy>,
 }
 
@@ -112,9 +112,9 @@ impl InferencePlan {
 /// [`MemoPolicy`] keys into.
 #[derive(Debug, Default)]
 pub struct PlanCaches {
-    /// Summarization results, keyed by [`MemoPolicy::summary_key`].
+    /// Summarization results, keyed by [`MemoPolicy::key`].
     pub summary: MemoCache<String>,
-    /// Scaled embeddings, keyed by [`MemoPolicy::embed_key`].
+    /// Scaled embeddings, keyed by [`MemoPolicy::key`].
     pub embed: MemoCache<Vec<f32>>,
 }
 
@@ -164,7 +164,7 @@ pub fn memoized_summary(
     policy: &dyn MemoPolicy,
     cache: &MemoCache<String>,
 ) -> String {
-    match policy.summary_key(raw_diag) {
+    match policy.key(raw_diag) {
         Some(key) => cache.get_or_insert_with(key, || summarizer.summarize(raw_diag)),
         None => summarizer.summarize(raw_diag),
     }
@@ -205,9 +205,7 @@ pub struct PlanOutcome {
 
 /// Executes an [`InferencePlan`] over a trained pipeline, one incident at
 /// a time. Pure in its inputs: worker identity, wall-clock time, and
-/// cache hit/miss patterns never leak into the outputs (under an exact or
-/// disabled memo policy — see [`crate::memo::ShingleMemo`] for the
-/// near-dup caveat).
+/// cache hit/miss patterns never leak into the outputs.
 pub struct PlanExecutor<'a> {
     copilot: &'a RcaCopilot,
     stage: &'a CollectionStage,
@@ -318,7 +316,7 @@ impl<'a> PlanExecutor<'a> {
     /// Stage 4 — embedding: the scaled retrieval embedding of `text`,
     /// memoized per the plan's policy.
     pub fn embed(&self, text: &str) -> Vec<f32> {
-        match self.plan.policy.embed_key(text) {
+        match self.plan.policy.key(text) {
             Some(key) => self
                 .caches
                 .embed
@@ -416,14 +414,10 @@ impl<'a> PlanExecutor<'a> {
         )
     }
 
-    /// Executes the plan sequentially over a batch of arrival events —
-    /// the batch plane's equivalent of a frozen-replay serving run.
-    /// `arrivals` pairs an index into `incidents` with a virtual arrival
-    /// instant; results come back in the same order.
-    ///
-    /// Sequential on purpose: with a near-duplicate memo policy the
-    /// first-inserted summary wins, and a deterministic visit order keeps
-    /// the outputs reproducible where a thread pool would not.
+    /// Executes the plan over a batch of arrival events — the batch
+    /// plane's equivalent of a frozen-replay serving run. `arrivals`
+    /// pairs an index into `incidents` with a virtual arrival instant;
+    /// results come back in the same order.
     pub fn run_batch(
         &self,
         incidents: &[Incident],

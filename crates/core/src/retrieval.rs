@@ -556,24 +556,29 @@ pub struct ShardedHistoricalIndex {
     poison_recoveries: AtomicU64,
     /// The warm-start history, which holds sequence numbers `0..len` and
     /// which checkpoints name instead of copying.
-    base: Option<WarmBase>,
+    base: WarmBase,
 }
 
 impl ShardedHistoricalIndex {
-    /// An empty index with `shards` shards (clamped to ≥ 1) whose
-    /// time-ordered chunks hold up to `max_cell` entries (clamped to
-    /// ≥ 1). The chunk size trades publish cost against insert cost; it
-    /// never changes an answer.
-    pub fn new(shards: usize, max_cell: usize) -> Self {
-        ShardedHistoricalIndex {
+    /// An index over the warm-start history `base` (inserted in slice
+    /// order, always visible, not yet published) with `shards` shards
+    /// (clamped to ≥ 1) whose time-ordered chunks hold up to `max_cell`
+    /// entries (clamped to ≥ 1). The chunk size trades publish cost
+    /// against insert cost; it never changes an answer.
+    fn new(base: &[HistoricalEntry], shards: usize, max_cell: usize) -> Self {
+        let idx = ShardedHistoricalIndex {
             shards: (0..shards.max(1))
                 .map(|_| Mutex::new(Shard::default()))
                 .collect(),
             max_cell: max_cell.max(1),
             next_seq: AtomicU64::new(0),
             poison_recoveries: AtomicU64::new(0),
-            base: None,
+            base: WarmBase::of(base),
+        };
+        for e in base {
+            idx.insert(e.clone(), SimTime::EPOCH);
         }
+        idx
     }
 
     /// Warm-starts from existing history (e.g. a trained pipeline's
@@ -582,18 +587,9 @@ impl ShardedHistoricalIndex {
     /// as its [`WarmBase`], so its checkpoints name it instead of
     /// copying it.
     pub fn warm(entries: &[HistoricalEntry], shards: usize, max_cell: usize) -> Self {
-        let mut idx = ShardedHistoricalIndex::new(shards, max_cell);
-        idx.insert_base(entries);
-        idx.base = Some(WarmBase::of(entries));
+        let idx = ShardedHistoricalIndex::new(entries, shards, max_cell);
         idx.publish_all();
         idx
-    }
-
-    /// Inserts warm-start history, always visible, in slice order.
-    fn insert_base(&self, entries: &[HistoricalEntry]) {
-        for e in entries {
-            self.insert(e.clone(), SimTime::EPOCH);
-        }
     }
 
     /// [`warm`](Self::warm) with the retrieval backend named explicitly.
@@ -709,10 +705,10 @@ impl ShardedHistoricalIndex {
     /// *merged* order (rather than per-shard lists) makes the checkpoint
     /// shard-count independent: restoring with a different `shards`
     /// value re-routes deterministically and reproduces identical
-    /// answers. An index with a [`WarmBase`] lists only the entries
-    /// inserted after it and names the base.
+    /// answers. The checkpoint lists only the entries inserted after the
+    /// index's [`WarmBase`] and names the base.
     pub fn checkpoint(&self) -> ShardedCheckpoint {
-        let after_base = self.base.map_or(0, |b| b.len as u64);
+        let after_base = self.base.len as u64;
         let mut seqd: Vec<(u64, CheckpointEntry)> = Vec::new();
         let mut shard_epochs = Vec::with_capacity(self.shards.len());
         for s in 0..self.shards.len() {
@@ -752,30 +748,28 @@ impl ShardedHistoricalIndex {
     /// answers, because visibility is filtered per query by
     /// `visible_from`, not by epoch membership.
     ///
-    /// A checkpoint that names a [`WarmBase`] is restored over `base`,
-    /// the history it was warmed from: those entries go in first, so
-    /// every entry gets back its sequence number, and the restored index
-    /// keeps naming the base. A checkpoint without one lists every entry
-    /// and ignores `base`.
+    /// The checkpoint is restored over `base`, the history it was warmed
+    /// from, once `base` digests to the [`WarmBase`] it names: those
+    /// entries go in first, so every entry gets back its sequence
+    /// number, and the restored index keeps naming the base.
     ///
     /// # Errors
     ///
     /// [`BaseMismatch`] when `base` is not the history the checkpoint
-    /// names.
+    /// names; nothing is inserted then.
     pub fn restore(
         checkpoint: &ShardedCheckpoint,
         base: &[HistoricalEntry],
         shards: usize,
     ) -> Result<Self, BaseMismatch> {
-        let mut idx = ShardedHistoricalIndex::new(shards, checkpoint.max_cell);
-        if let Some(named) = checkpoint.base {
-            let found = WarmBase::of(base);
-            if found != named {
-                return Err(BaseMismatch { named, found });
-            }
-            idx.insert_base(base);
-            idx.base = Some(named);
+        let found = WarmBase::of(base);
+        if found != checkpoint.base {
+            return Err(BaseMismatch {
+                named: checkpoint.base,
+                found,
+            });
         }
+        let idx = ShardedHistoricalIndex::new(base, shards, checkpoint.max_cell);
         for ce in &checkpoint.entries {
             idx.insert(ce.entry.clone(), ce.visible_from);
         }
@@ -866,13 +860,12 @@ pub struct ShardedCheckpoint {
     /// Per-shard published epoch numbers at checkpoint time (length =
     /// the checkpointing index's shard count).
     pub shard_epochs: Vec<u64>,
-    /// Every entry inserted after the warm base (every entry when there
-    /// is none), in *global* insertion order.
+    /// Every entry inserted after the warm base, in *global* insertion
+    /// order.
     pub entries: Vec<CheckpointEntry>,
     /// The warm-start history the entries follow, named rather than
-    /// copied. `None` (also how a checkpoint written without this field
-    /// reads) means `entries` holds the whole index.
-    pub base: Option<WarmBase>,
+    /// copied.
+    pub base: WarmBase,
 }
 
 /// A sealed read view of every shard of a [`ShardedHistoricalIndex`].
@@ -1049,7 +1042,7 @@ mod tests {
 
     #[test]
     fn out_of_order_inserts_split_chunks_and_stay_sorted() {
-        let idx = ShardedHistoricalIndex::new(1, 2);
+        let idx = ShardedHistoricalIndex::new(&[], 1, 2);
         let days = [50u64, 10, 30, 30, 90, 0, 70, 20, 60, 40];
         for (i, &day) in days.iter().enumerate() {
             idx.insert(entry(i, &format!("Cat{i}"), day, vec![0.0]), SimTime::EPOCH);
@@ -1067,7 +1060,7 @@ mod tests {
 
     #[test]
     fn checkpoint_restore_round_trips_queries_and_epoch() {
-        let online = ShardedHistoricalIndex::new(1, 4);
+        let online = ShardedHistoricalIndex::new(&[], 1, 4);
         for i in 0..25usize {
             online.insert(
                 entry(
@@ -1084,7 +1077,7 @@ mod tests {
         }
         let ckpt = online.checkpoint();
         assert_eq!(ckpt.entries.len(), online.len());
-        let restored = ShardedHistoricalIndex::restore(&ckpt, &[], 1).expect("no base named");
+        let restored = ShardedHistoricalIndex::restore(&ckpt, &[], 1).expect("same empty base");
         assert_eq!(restored.len(), online.len());
         assert_eq!(restored.epoch(0), online.epoch(0));
         let cfg = RetrievalConfig { k: 4, alpha: 0.3 };
@@ -1101,7 +1094,7 @@ mod tests {
 
     #[test]
     fn online_insert_respects_visibility_and_epochs() {
-        let online = ShardedHistoricalIndex::new(1, 8);
+        let online = ShardedHistoricalIndex::new(&[], 1, 8);
         online.insert(entry(0, "A", 10, vec![0.0]), SimTime::EPOCH);
         // Not yet published: snapshots are empty.
         assert!(online.snapshot().is_empty());
@@ -1139,8 +1132,8 @@ mod tests {
 
     #[test]
     fn sharded_index_matches_unsharded_queries_and_routing() {
-        let single = ShardedHistoricalIndex::new(1, 4);
-        let sharded = ShardedHistoricalIndex::new(3, 4);
+        let single = ShardedHistoricalIndex::new(&[], 1, 4);
+        let sharded = ShardedHistoricalIndex::new(&[], 3, 4);
         for i in 0..40usize {
             let e = entry(
                 i,
@@ -1178,7 +1171,7 @@ mod tests {
 
     #[test]
     fn sharded_checkpoint_restores_across_shard_counts() {
-        let sharded = ShardedHistoricalIndex::new(4, 3);
+        let sharded = ShardedHistoricalIndex::new(&[], 4, 3);
         for i in 0..30usize {
             sharded.insert(
                 entry(
@@ -1210,7 +1203,7 @@ mod tests {
         // Restore into the same, fewer and more shards: answers identical.
         for target in [1usize, 2, 4, 8] {
             let restored =
-                ShardedHistoricalIndex::restore(&ckpt, &[], target).expect("no base named");
+                ShardedHistoricalIndex::restore(&ckpt, &[], target).expect("same empty base");
             assert_eq!(restored.shard_count(), target);
             assert_eq!(restored.len(), sharded.len());
             let snap = restored.snapshot();
@@ -1224,7 +1217,7 @@ mod tests {
             }
         }
         // Same-count restore also restores per-shard epoch counters.
-        let same = ShardedHistoricalIndex::restore(&ckpt, &[], 4).expect("no base named");
+        let same = ShardedHistoricalIndex::restore(&ckpt, &[], 4).expect("same empty base");
         for s in 0..4 {
             assert_eq!(same.epoch(s), sharded.epoch(s), "shard {s} epoch");
         }
@@ -1235,8 +1228,8 @@ mod tests {
         // Identical embeddings and timestamps across categories: ranking
         // is decided purely by insertion order, which must survive
         // sharding even though the entries land in different shards.
-        let single = ShardedHistoricalIndex::new(1, 2);
-        let sharded = ShardedHistoricalIndex::new(8, 2);
+        let single = ShardedHistoricalIndex::new(&[], 1, 2);
+        let sharded = ShardedHistoricalIndex::new(&[], 8, 2);
         for i in 0..12usize {
             let e = entry(100 - i, &format!("Cat{i}"), 10, vec![1.0, 1.0]);
             single.insert(e.clone(), SimTime::EPOCH);
@@ -1285,7 +1278,7 @@ mod tests {
     fn checkpoints_name_the_warm_base_and_restore_over_it() {
         let (warm, online) = tied_warm_and_late();
         let ckpt = online.checkpoint();
-        assert_eq!(ckpt.base, Some(WarmBase::of(&warm)));
+        assert_eq!(ckpt.base, WarmBase::of(&warm));
         let ids: Vec<usize> = ckpt.entries.iter().map(|ce| ce.entry.id).collect();
         assert_eq!(ids, [10, 11, 12, 13], "only the entries after the base");
         let json = serde_json::to_string(&ckpt).expect("serializable");
@@ -1331,38 +1324,6 @@ mod tests {
             );
             assert!(err.to_string().contains("warm base of 4 entries"), "{err}");
         }
-    }
-
-    #[test]
-    fn a_checkpoint_without_a_base_restores_in_full() {
-        // The format from before warm bases: every entry, no `base` key.
-        let (warm, online) = tied_warm_and_late();
-        let named = online.checkpoint();
-        let full = ShardedCheckpoint {
-            entries: warm
-                .iter()
-                .map(|e| CheckpointEntry {
-                    entry: e.clone(),
-                    visible_from: SimTime::EPOCH,
-                })
-                .chain(named.entries.iter().cloned())
-                .collect(),
-            base: None,
-            ..named
-        };
-        let json = serde_json::to_string(&full).expect("serializable");
-        let legacy = json.replace(r#","base":null"#, "");
-        assert!(!legacy.contains("base"));
-        let back: ShardedCheckpoint = serde_json::from_str(&legacy).expect("parseable");
-        assert_eq!(back, full);
-        // The history offered for the base is not consulted.
-        let restored = ShardedHistoricalIndex::restore(&back, &[], 2).expect("nothing named");
-        assert_eq!(restored.len(), online.len());
-        assert_eq!(
-            tied_answer(&restored.snapshot()),
-            tied_answer(&online.snapshot())
-        );
-        assert_eq!(restored.checkpoint().entries, full.entries);
     }
 }
 
@@ -1475,7 +1436,7 @@ mod proptests {
             specs in proptest::collection::vec(
                 (0u64..364, 0usize..6, 0i32..4, 0i32..4, 0u64..200), 1..50)
         ) {
-            let idx = ShardedHistoricalIndex::new(shards, max_cell);
+            let idx = ShardedHistoricalIndex::new(&[], shards, max_cell);
             for (i, &(day, cat, x, y, vis)) in specs.iter().enumerate() {
                 let s = idx.insert(grid_entry(i, day, cat, x, y), SimTime::from_days(vis));
                 if (i + 1) % publish_every == 0 {

@@ -124,11 +124,9 @@ pub struct EngineConfig {
     /// Prompt-context configuration (must match the batch pipeline's for
     /// parity).
     pub spec: ContextSpec,
-    /// Memoization policy for the summary/embedding caches. The default
-    /// exact content hash keeps the prediction log byte-identical to an
-    /// uncached run; the near-duplicate
-    /// [`ShingleMemo`](rcacopilot_core::memo::ShingleMemo) policy trades
-    /// that for storm dedup and is opt-in.
+    /// Memoization policy for the summary/embedding caches. Every policy
+    /// keeps the prediction log byte-identical to an uncached run; the
+    /// default exact content hash skips re-raised duplicates' work.
     pub memo: Arc<dyn MemoPolicy>,
     /// Worker-fault injection (disabled by default).
     pub faults: WorkerFaultConfig,
@@ -551,8 +549,9 @@ impl ServeEngine {
     /// a failing collection degrades the single event rather than the
     /// run.
     pub fn run(&self, incidents: &[Incident], stream_config: &StreamConfig) -> ServeOutcome {
+        let events = stream::schedule(incidents, stream_config);
         let online = self.warm_index();
-        self.run_internal(incidents, stream_config, None, Recovery::default(), online)
+        self.run_internal(incidents, events, None, Recovery::default(), online)
     }
 
     /// Like [`ServeEngine::run`], but journaling every commit (and index
@@ -563,12 +562,15 @@ impl ServeEngine {
     ///
     /// # Errors
     ///
-    /// Returns the [`WalError`] if the journal's commit prefix has a gap
-    /// — only possible through in-memory misuse, since loading a stored
-    /// journal quarantines corruption and prunes past it — or
-    /// [`WalError::WarmBase`] if its checkpoint names a warm base other
-    /// than this engine's trained history. Both are found before any
-    /// event runs.
+    /// Found before any event runs:
+    ///
+    /// - [`WalError::Gap`] if the journal's commit prefix has a gap, only
+    ///   possible through in-memory misuse, since loading a stored
+    ///   journal quarantines corruption and prunes past it;
+    /// - [`WalError::LongerThanStream`] if the journal holds more commits
+    ///   than the stream plans events;
+    /// - [`WalError::WarmBase`] if its checkpoint names a warm base other
+    ///   than this engine's trained history.
     pub fn run_with_wal(
         &self,
         incidents: &[Incident],
@@ -576,6 +578,13 @@ impl ServeEngine {
         wal: &mut WriteAheadLog,
     ) -> Result<ServeOutcome, WalError> {
         let recovery = wal.recover()?;
+        let events = stream::schedule(incidents, stream_config);
+        if recovery.committed() > events.len() {
+            return Err(WalError::LongerThanStream {
+                committed: recovery.committed(),
+                events: events.len(),
+            });
+        }
         let online = match &recovery.checkpoint {
             // A checkpoint restores into *this* run's shard count:
             // entries re-route deterministically, so the answers (and the
@@ -609,7 +618,7 @@ impl ServeEngine {
                 }
             }
         }
-        Ok(self.run_internal(incidents, stream_config, Some(wal), recovery, online))
+        Ok(self.run_internal(incidents, events, Some(wal), recovery, online))
     }
 
     /// The online index warmed from the copilot's trained history, or
@@ -655,21 +664,18 @@ impl ServeEngine {
         corrected
     }
 
+    /// Runs the scheduled `events`, resuming after `recovery`'s commits,
+    /// which fit the stream ([`ServeEngine::run_with_wal`] checks).
     fn run_internal(
         &self,
         incidents: &[Incident],
-        stream_config: &StreamConfig,
+        events: Vec<StreamEvent>,
         wal: Option<&mut WriteAheadLog>,
         recovery: Recovery,
         online: Option<ShardedHistoricalIndex>,
     ) -> ServeOutcome {
-        let events = stream::schedule(incidents, stream_config);
         let n = events.len();
         let committed = recovery.committed();
-        assert!(
-            committed <= n,
-            "WAL holds {committed} commits but the stream plans only {n} events"
-        );
         let costs: Vec<StageCosts> = events
             .iter()
             .map(|e| cost::estimate(&incidents[e.incident_idx].alert, self.config.cost_seed))
@@ -1506,7 +1512,7 @@ mod tests {
     use crate::stream::ArrivalModel;
     use rcacopilot_core::eval::PreparedDataset;
     use rcacopilot_core::pipeline::{Embedder, RcaCopilotConfig};
-    use rcacopilot_core::retrieval::{ShardedCheckpoint, WarmBase};
+    use rcacopilot_core::retrieval::WarmBase;
     use rcacopilot_embed::{FastTextConfig, FeatureExtractor};
     use rcacopilot_simcloud::noise::NoiseProfile;
     use rcacopilot_simcloud::{generate_dataset, CampaignConfig, IncidentDataset, Topology};
@@ -1657,71 +1663,90 @@ mod tests {
         (reference.log, wal)
     }
 
-    #[test]
-    fn resume_restores_checkpoints_with_and_without_a_warm_base() {
-        let (engine, test) = trained_engine(EngineConfig {
+    fn online_folding_engine() -> (ServeEngine, Vec<Incident>) {
+        trained_engine(EngineConfig {
             workers: 2,
             index_mode: IndexMode::Online,
             admission: AdmissionConfig::unbounded(),
             checkpoint_every: 3,
             ..EngineConfig::default()
-        });
+        })
+    }
+
+    #[test]
+    fn resume_restores_a_checkpoint_over_its_warm_base() {
+        let (engine, test) = online_folding_engine();
         let (reference, wal) = crashed_journal(&engine, &test);
-        let history = engine.copilot().index().entries();
         let recovery = wal.recover().unwrap();
         let ckpt = recovery.checkpoint.clone().expect("online fold");
-        assert_eq!(ckpt.base, Some(WarmBase::of(history)));
+        assert_eq!(ckpt.base, WarmBase::of(engine.copilot().index().entries()));
         assert!(ckpt.entries.len() < recovery.committed(), "no warm entries");
-        let resume = |journal: &str| {
-            let mut wal = WriteAheadLog::load(journal);
-            assert!(wal.quarantined().is_empty());
-            let out = engine.run_with_wal(&test, &StreamConfig::replay(), &mut wal);
-            out.unwrap().log
-        };
-        assert_eq!(resume(&wal.serialized()), reference);
-        // The same journal as written before warm bases: the fold lists
-        // every entry and has no `base` key.
-        let legacy: String = wal
+        let mut resumed = WriteAheadLog::load(&wal.serialized());
+        assert!(resumed.quarantined().is_empty());
+        let out = engine.run_with_wal(&test, &StreamConfig::replay(), &mut resumed);
+        assert_eq!(out.unwrap().log, reference);
+    }
+
+    #[test]
+    fn a_fold_without_a_base_is_a_dead_letter_and_resume_recomputes() {
+        let (engine, test) = online_folding_engine();
+        let (reference, wal) = crashed_journal(&engine, &test);
+        // The journal as written before warm bases: the fold has no
+        // `base` key, under a valid checksum.
+        let base = WarmBase::of(engine.copilot().index().entries());
+        let base = format!(r#","base":{}"#, serde_json::to_string(&base).unwrap());
+        let lines: Vec<String> = wal
             .records()
             .unwrap()
-            .into_iter()
+            .iter()
             .map(|record| {
-                let record = match record {
-                    WalRecord::Checkpoint {
-                        committed,
-                        records,
-                        index: Some(named),
-                        tenant,
-                    } => {
-                        let warm = history.iter().map(|e| CheckpointEntry {
-                            entry: e.clone(),
-                            visible_from: SimTime::EPOCH,
-                        });
-                        let index = ShardedCheckpoint {
-                            entries: warm.chain(named.entries.iter().cloned()).collect(),
-                            base: None,
-                            ..named
-                        };
-                        WalRecord::Checkpoint {
-                            committed,
-                            records,
-                            index: Some(index),
-                            tenant,
-                        }
-                    }
-                    other => other,
-                };
-                let json = serde_json::to_string(&record).unwrap();
-                let payload = json.replace(r#","base":null"#, "");
-                format!(
-                    "crc32c:{:08x}:{payload}\n",
-                    crate::storage::crc32c(payload.as_bytes())
-                )
+                let payload = serde_json::to_string(record).unwrap().replace(&base, "");
+                let crc = crate::storage::crc32c(payload.as_bytes());
+                format!("crc32c:{crc:08x}:{payload}\n")
             })
             .collect();
-        assert!(legacy.len() > wal.serialized().len());
-        assert!(!legacy.contains(r#""base""#));
-        assert_eq!(resume(&legacy), reference);
+        let fold = lines
+            .iter()
+            .position(|line| line.contains(r#"{"Checkpoint":"#))
+            .expect("the journal holds a fold");
+        assert!(!lines[fold].contains(r#""base""#));
+        let mut loaded = WriteAheadLog::load(&lines.concat());
+        assert_eq!(loaded.quarantined().len(), 1);
+        assert_eq!(loaded.quarantined()[0].line, fold);
+        let reason = &loaded.quarantined()[0].reason;
+        assert!(reason.contains("WarmBase"), "{reason}");
+        assert_eq!(
+            loaded.dropped_records() as usize,
+            lines.len() - fold - 1,
+            "the commits after the fold are stranded"
+        );
+        assert!(loaded.recover().unwrap().is_empty());
+        let out = engine.run_with_wal(&test, &StreamConfig::replay(), &mut loaded);
+        assert_eq!(out.unwrap().log, reference, "recomputed from the start");
+    }
+
+    #[test]
+    fn a_journal_longer_than_its_stream_is_refused() {
+        let (engine, test) = trained_engine(EngineConfig {
+            admission: AdmissionConfig::unbounded(),
+            ..EngineConfig::default()
+        });
+        let mut wal = WriteAheadLog::new();
+        let full = engine.run_with_wal(&test, &StreamConfig::replay(), &mut wal);
+        assert_eq!(full.unwrap().records.len(), 24);
+        let written = wal.serialized();
+        let err = engine
+            .run_with_wal(&test[..12], &StreamConfig::replay(), &mut wal)
+            .expect_err("24 commits cannot resume a 12-event stream");
+        assert_eq!(
+            err,
+            WalError::LongerThanStream {
+                committed: 24,
+                events: 12
+            }
+        );
+        assert!(err.to_string().contains("24 commits"), "{err}");
+        assert_eq!(wal.serialized(), written, "nothing ran");
     }
 
     #[test]

@@ -36,12 +36,9 @@ use rcacopilot_telemetry::time::{SimDuration, SimTime};
 /// How virtual arrival instants are assigned to the incident sequence.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ArrivalModel {
-    /// Keep each incident's original occurrence time, divided by
-    /// `speedup` (1 = the campaign timeline verbatim).
-    Replay {
-        /// Time compression factor (≥ 1).
-        speedup: u64,
-    },
+    /// Keep each incident's original occurrence time: the campaign
+    /// timeline verbatim, so an incident arrives when it happened.
+    Replay,
     /// Memoryless arrivals: exponential inter-arrival gaps with the
     /// given mean, independent of the campaign timeline.
     Poisson {
@@ -82,7 +79,7 @@ impl StreamConfig {
     pub fn replay() -> Self {
         StreamConfig {
             seed: 0,
-            arrivals: ArrivalModel::Replay { speedup: 1 },
+            arrivals: ArrivalModel::Replay,
             reraise_prob: 0.0,
         }
     }
@@ -113,12 +110,8 @@ pub fn schedule(incidents: &[Incident], config: &StreamConfig) -> Vec<StreamEven
     let mut rng = SmallRng::seed_from_u64(config.seed);
     let mut events: Vec<(usize, SimTime)> = Vec::with_capacity(incidents.len());
     match config.arrivals {
-        ArrivalModel::Replay { speedup } => {
-            let speedup = speedup.max(1);
-            for (i, inc) in incidents.iter().enumerate() {
-                let at = SimTime::from_secs(inc.occurred_at().as_secs() / speedup);
-                events.push((i, at));
-            }
+        ArrivalModel::Replay => {
+            events.extend(incidents.iter().map(Incident::occurred_at).enumerate());
         }
         ArrivalModel::Poisson { mean_gap_secs } => {
             let mut t = SimTime::EPOCH;

@@ -841,7 +841,7 @@ mod tests {
 
     #[test]
     fn bad_plane_constructions_are_typed_errors() {
-        let (copilot, _) = trained_copilot();
+        let (copilot, incidents) = trained_copilot();
         let err = MultiTenantEngine::new(copilot.clone(), MultiTenantConfig::default(), vec![])
             .expect_err("empty specs");
         assert!(matches!(err, TenantError::EmptySpecs));
@@ -881,6 +881,18 @@ mod tests {
             err,
             TenantError::PartMismatch { specs: 1, parts: 0 }
         ));
+        // So is a journal that holds more commits than the stream plans.
+        let mut wal = WriteAheadLog::new();
+        let fresh = plane.run_with_wal(&[incidents[..4].to_vec()], &mut wal);
+        assert!(fresh.is_ok());
+        let err = plane.run_with_wal(&[vec![]], &mut wal).expect_err("longer");
+        assert!(
+            matches!(
+                err,
+                TenantError::Wal(WalError::LongerThanStream { events: 0, .. })
+            ),
+            "{err:?}"
+        );
     }
 
     #[test]

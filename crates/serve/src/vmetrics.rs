@@ -95,27 +95,15 @@ impl FaultCounters {
         counter.load(Ordering::Relaxed)
     }
 
-    /// JSON summary for the engine report.
+    /// JSON summary for the engine report: [`FaultCounters::rows`] as
+    /// one map, in row order.
     pub fn to_json(&self) -> Value {
-        json!({
-            "worker_panics": Self::get(&self.worker_panics),
-            "worker_respawns": Self::get(&self.worker_respawns),
-            "injected_stalls": Self::get(&self.injected_stalls),
-            "injected_errors": Self::get(&self.injected_errors),
-            "redispatches": Self::get(&self.redispatches),
-            "quarantined": Self::get(&self.quarantined),
-            "collection_failures": Self::get(&self.collection_failures),
-            "poison_recoveries": Self::get(&self.poison_recoveries),
-            "dispatch_failures": Self::get(&self.dispatch_failures),
-            "sink_failures": Self::get(&self.sink_failures),
-            "breaker_fast_fails": Self::get(&self.breaker_fast_fails),
-            "fsync_failures": Self::get(&self.fsync_failures),
-            "sink_retries": Self::get(&self.sink_retries),
-            "enospc_events": Self::get(&self.enospc_events),
-            "durability_paused_spans": Self::get(&self.durability_paused_spans),
-            "wal_quarantined": Self::get(&self.wal_quarantined),
-            "wal_dropped": Self::get(&self.wal_dropped),
-        })
+        Value::Map(
+            self.rows()
+                .into_iter()
+                .map(|(kind, value)| (kind.to_string(), Value::U64(value)))
+                .collect(),
+        )
     }
 
     /// Every counter as a `(kind, value)` row, in report order.
@@ -249,5 +237,26 @@ mod tests {
         assert_eq!(h.max(), 100);
         assert!((h.mean() - 55.0).abs() < 1e-9);
         assert_eq!(VirtualHistogram::new().percentile(0.5), 0);
+    }
+
+    /// The report's `faults` bytes, pinned to what the counters wrote
+    /// when the JSON map was spelled out beside the rows.
+    #[test]
+    fn fault_report_lists_every_row_in_order() {
+        let counters = FaultCounters::new();
+        FaultCounters::bump(&counters.redispatches);
+        FaultCounters::bump(&counters.wal_dropped);
+        FaultCounters::bump(&counters.wal_dropped);
+        assert_eq!(
+            serde_json::to_string(&counters.to_json()).unwrap(),
+            concat!(
+                r#"{"worker_panics":0,"worker_respawns":0,"injected_stalls":0,"#,
+                r#""injected_errors":0,"redispatches":1,"quarantined":0,"#,
+                r#""collection_failures":0,"poison_recoveries":0,"dispatch_failures":0,"#,
+                r#""sink_failures":0,"breaker_fast_fails":0,"fsync_failures":0,"#,
+                r#""sink_retries":0,"enospc_events":0,"durability_paused_spans":0,"#,
+                r#""wal_quarantined":0,"wal_dropped":2}"#,
+            )
+        );
     }
 }

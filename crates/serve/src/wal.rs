@@ -11,8 +11,7 @@
 //! checkpoint names the trained history the index was warmed from by a
 //! [`WarmBase`](rcacopilot_core::retrieval::WarmBase) digest and lists
 //! only the entries inserted after it, so a fold costs what the stream
-//! added, not the whole index; a checkpoint written without a base lists
-//! every entry and still restores.
+//! added, not the whole index.
 //!
 //! **Recovery invariant**: a run resumed from a WAL produces a prediction
 //! log byte-identical to the uninterrupted run, for any worker count and
@@ -33,11 +32,10 @@
 //!    journal/epoch-counter continuity.
 //!
 //! **Record framing**: each line is `crc32c:<8 hex digits>:<JSON>`, the
-//! CRC-32C of the payload guarding against bit rot and torn pages.
-//! Legacy unchecksummed journals (bare JSON lines) stay readable — and
-//! are preserved *verbatim* in memory, so reopening a clean legacy file
-//! never rewrites it. Corruption is never fatal: a record that fails its
-//! CRC or does not parse becomes a counted, quarantined dead letter
+//! CRC-32C of the payload guarding against bit rot and torn pages. A
+//! line without the frame carries no checksum, so it is never trusted.
+//! Corruption is never fatal: a record that fails its CRC, lacks the
+//! frame or does not parse becomes a counted, quarantined dead letter
 //! ([`WriteAheadLog::quarantined`]), and the loader *resyncs forward* —
 //! a zeroed page that eats a newline fuses junk with the next record on
 //! one physical line, so the loader scans for the next `crc32c:` frame
@@ -181,6 +179,14 @@ pub enum WalError {
         /// The sequence number found.
         found: usize,
     },
+    /// The journal holds more commits than the resumed stream plans
+    /// events, so it was written for another stream.
+    LongerThanStream {
+        /// Commits the journal holds.
+        committed: usize,
+        /// Events the stream plans.
+        events: usize,
+    },
     /// The journal's index checkpoint names a warm base other than the
     /// resuming engine's trained history, so it cannot be restored.
     WarmBase(BaseMismatch),
@@ -195,6 +201,10 @@ impl fmt::Display for WalError {
             WalError::Gap { expected, found } => {
                 write!(f, "WAL commit gap: expected seq {expected}, found {found}")
             }
+            WalError::LongerThanStream { committed, events } => write!(
+                f,
+                "WAL holds {committed} commits but the stream plans only {events} events"
+            ),
             WalError::WarmBase(mismatch) => write!(f, "WAL checkpoint: {mismatch}"),
         }
     }
@@ -253,12 +263,11 @@ fn frame(payload: &str) -> String {
     format!("{FRAME_PREFIX}{:08x}:{payload}", crc32c(payload.as_bytes()))
 }
 
-/// Parses one journal line: a checksummed frame, or a legacy bare-JSON
-/// line from a pre-framing journal.
+/// Parses one journal line, which must be a checksummed frame.
 fn parse_wal_line(line: &str) -> Result<WalRecord, String> {
-    let Some(rest) = line.strip_prefix(FRAME_PREFIX) else {
-        return serde_json::from_str(line).map_err(|e| e.to_string());
-    };
+    let rest = line
+        .strip_prefix(FRAME_PREFIX)
+        .ok_or_else(|| "no crc32c frame".to_string())?;
     let hex = rest
         .get(..8)
         .ok_or_else(|| "truncated crc32c frame header".to_string())?;
@@ -1010,28 +1019,29 @@ mod tests {
     }
 
     #[test]
-    fn lines_are_crc32c_framed_and_legacy_journals_stay_readable() {
+    fn lines_are_crc32c_framed_and_bare_lines_are_dead_letters() {
         let mut wal = WriteAheadLog::new();
         wal.append(&commit(0));
         assert!(
             wal.serialized().starts_with("crc32c:"),
-            "new appends are framed"
+            "appends are framed"
         );
-        // A legacy journal: bare JSON lines, no checksums.
-        let legacy: String = (0..3)
-            .map(|i| format!("{}\n", serde_json::to_string(&commit(i)).unwrap()))
-            .collect();
-        let loaded = WriteAheadLog::load(&legacy);
+        let framed = |seq| format!("{}\n", frame(&serde_json::to_string(&commit(seq)).unwrap()));
+        let bare = |seq| format!("{}\n", serde_json::to_string(&commit(seq)).unwrap());
+        // A bare JSON line carries no checksum, so it is never trusted:
+        // mid-log it is quarantined and strands the commits past it...
+        let loaded = WriteAheadLog::load(&format!("{}{}{}", framed(0), bare(1), framed(2)));
+        assert_eq!(loaded.quarantined().len(), 1);
+        assert_eq!(loaded.quarantined()[0].line, 1);
+        assert_eq!(loaded.quarantined()[0].reason, "no crc32c frame");
+        assert_eq!(loaded.dropped_records(), 1, "commit 2 is stranded");
+        assert_eq!(loaded.recover().unwrap().committed(), 1);
+        assert_eq!(loaded.serialized(), framed(0));
+        // ...and as the last line it is dropped as a torn tail.
+        let loaded = WriteAheadLog::load(&format!("{}{}", framed(0), bare(1)));
+        assert!(loaded.had_torn_tail());
         assert!(loaded.quarantined().is_empty());
-        assert_eq!(loaded.recover().unwrap().committed(), 3);
-        // Legacy lines are preserved verbatim: a clean legacy file
-        // round-trips byte-identically (no rewrite churn on reopen).
-        assert_eq!(loaded.serialized(), legacy);
-        // Appends onto a legacy journal are framed; the mix loads fine.
-        let mut mixed = loaded;
-        mixed.append(&commit(3));
-        let reloaded = WriteAheadLog::load(&mixed.serialized());
-        assert_eq!(reloaded.recover().unwrap().committed(), 4);
+        assert_eq!(loaded.recover().unwrap().committed(), 1);
     }
 
     #[test]
@@ -1567,7 +1577,7 @@ mod tests {
             index: Some(ShardedCheckpoint {
                 max_cell: 64,
                 shard_epochs: vec![1, 2],
-                base: Some(WarmBase::of(std::slice::from_ref(&entry.entry))),
+                base: WarmBase::of(std::slice::from_ref(&entry.entry)),
                 entries: vec![entry],
             }),
             tenant: TenantId::default(),
